@@ -10,9 +10,15 @@ Generators are transported through the Smith normal form: with U*G*V = D,
 the columns of U^{-1} descend to generators of coker(G) of orders given by
 the diagonal, and the form on them is the congruent transport of G^{-1}.
 
-Element enumeration is exhaustive everywhere.  The groups met in practice
-have order below two hundred, and an explicit search produces a witness or
-an exhaustion certificate instead of a number-theoretic argument.
+The cyclic verdicts are square-class tests.  On Z_n with self-linking k/n
+the generator m*g self-links to m^2 k/n, so some generator self-links to
++-1/n iff +k or -k is a unit square mod n.  With n factored once, that is
+Euler's criterion at each odd prime and a residue condition mod 4 or 8 at
+2.  A NotObstructed witness names the least such m, the minimum over the
+CRT combinations of the square roots modulo each prime power
+(Tonelli-Shanks and Hensel lifting); one modular multiplication checks it.
+Nondegeneracy of non-cyclic forms, the metabolic search and the generator
+orbit still enumerate elements, and are meant for small groups.
 
 [GL1978]  Gordon, Litherland, "On the signature of a link".
 [GiL1992] Gilmer, Livingston, obstructions for a knot to bound a Mobius
@@ -22,7 +28,7 @@ an exhaustion certificate instead of a number-theoretic argument.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import exactalg
 from .errors import DiagramError
@@ -215,17 +221,17 @@ def _check_nondegenerate(form, max_order=2000):
             raise ValueError(f"degenerate linking form: {x} pairs trivially")
 
 
-def _prime_factors(n):
-    out = []
+def factorize(n):
+    """Prime factorization {p: e} of a positive integer, by trial division."""
+    out = {}
     p = 2
     while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -237,24 +243,105 @@ def generator_values(form: LinkingForm):
     if form.group.is_trivial:
         return {Fraction(0)}
     n = form.group.order
-    v = form.self_value()
-    k = v.numerator * (n // v.denominator)
+    k = _numerator(form)
     return {Fraction((m * m * k) % n, n)
             for m in range(1, n + 1) if gcd(m, n) == 1}
 
 
-def _exponents_all_odd(n):
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2 == 0:
+def _numerator(form):
+    """k with lambda(g, g) = k/n on the generator g of Z_n."""
+    v = form.self_value()
+    return v.numerator * (form.group.order // v.denominator)
+
+
+def _is_unit_square(c, factors):
+    """Whether the unit c is a square mod n = prod p^e over ``factors``."""
+    for p, e in factors.items():
+        if p == 2:
+            if (e == 2 and c % 4 != 1) or (e >= 3 and c % 8 != 1):
                 return False
-        p += 1
-    return True  # the leftover prime (if any) has exponent 1
+        elif pow(c, (p - 1) // 2, p) != 1:
+            return False
+    return True
+
+
+def _sqrt_mod_prime(c, p):
+    """A square root of the quadratic residue c mod the odd prime p
+    (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, root_of_unity = s, pow(z, q, p)
+    t, r = pow(c, q, p), pow(c, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(root_of_unity, 1 << (m - i - 1), p)
+        m, root_of_unity = i, b * b % p
+        t, r = t * root_of_unity % p, r * b % p
+    return r
+
+
+def _sqrts_mod_prime_power(c, p, e):
+    """All square roots of the unit square c mod p^e."""
+    pe = p ** e
+    if p == 2:
+        if e < 3:
+            return [x for x in (1, 3) if x < pe]
+        # c = 1 mod 8; an odd root mod 2^i lifts to one mod 2^(i+1),
+        # possibly after adding 2^(i-1)
+        r = 1
+        for i in range(3, e):
+            if (r * r - c) % (1 << (i + 1)):
+                r += 1 << (i - 1)
+        half = pe // 2
+        return [r, pe - r, (r + half) % pe, (pe - r + half) % pe]
+    r = _sqrt_mod_prime(c % p, p)
+    while (r * r - c) % pe:  # Hensel (Newton) lifting to p^e
+        r = (r - (r * r - c) * pow(2 * r, -1, pe)) % pe
+    return [r, pe - r]
+
+
+def _least_sqrt(c, factors):
+    """Least m >= 1 with m^2 = c mod n, for a unit square c mod n > 1:
+    the minimum over the CRT combinations of the prime-power roots."""
+    roots, modulus = [0], 1
+    for p, e in factors.items():
+        pe = p ** e
+        lift = pow(modulus, -1, pe)
+        roots = [a + modulus * ((b - a) * lift % pe)
+                 for a in roots for b in _sqrts_mod_prime_power(c, p, e)]
+        modulus *= pe
+    return min(roots)
+
+
+def _generator_verdict(form, factors, rule, exhausted):
+    """NotObstructed with the least generator m*g that self-links to +-1/n,
+    or Obstructed with the ``exhausted`` note when none does.
+
+    m^2 k = +-1 iff m^2 = +-k^-1, which has a root iff +-k is a unit
+    square.  The targets contain both signs, so a walk over m and the
+    global sign meets the least such m first, under sign +1: the witness
+    is the one that walk reports, and the note states what it exhausts.
+    """
+    n = form.group.order
+    k = _numerator(form)
+    inverse_k = pow(k, -1, n)
+    roots = [_least_sqrt(s * inverse_k % n, factors) for s in (1, -1)
+             if _is_unit_square(s * k % n, factors)]
+    if not roots:
+        return ObstructionVerdict(OBSTRUCTED, rule, exhausted)
+    m = min(roots)
+    return ObstructionVerdict(
+        NOT_OBSTRUCTED, rule,
+        f"generator {m}*g has lambda = {Fraction(m * m * k % n, n)} "
+        f"(global sign +1)")
 
 
 def mobius_obstruction_cyclic(form: LinkingForm) -> ObstructionVerdict:
@@ -263,32 +350,22 @@ def mobius_obstruction_cyclic(form: LinkingForm) -> ObstructionVerdict:
     If H1 = Z_n with every prime exponent of n odd and the knot bounds a
     Mobius band in the 4-ball, some generator a has lambda(a,a) = +-1/n
     [GiL1992, Cor 3].  Obstructed therefore means: under both global
-    signs, no generator self-links to +-1/n.
+    signs, no generator self-links to +-1/n, i.e. neither +k nor -k is a
+    unit square mod n for lambda(g,g) = k/n.  The NotObstructed witness is
+    the least m with m^2 k = +-1 mod n.
     """
     rule = "mobius-cyclic"
     if not form.group.is_cyclic:
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 is not cyclic")
     n = form.group.order
-    if not _exponents_all_odd(n):
+    factors = factorize(n)
+    if any(e % 2 == 0 for e in factors.values()):
         return ObstructionVerdict(
             INAPPLICABLE, rule, f"order {n} has a prime of even exponent")
     if form.group.is_trivial:
         return ObstructionVerdict(NOT_OBSTRUCTED, rule, "trivial H1")
-    # integer arithmetic on numerators: lambda(m*g, m*g) = m^2 * k / n mod 1
-    v = form.self_value()
-    k = v.numerator * (n // v.denominator)
-    targets = {1 % n, (-1) % n}
-    for m in range(1, n + 1):
-        if gcd(m, n) == 1:
-            for sign in (1, -1):
-                hit = (sign * m * m * k) % n
-                if hit in targets:
-                    return ObstructionVerdict(
-                        NOT_OBSTRUCTED, rule,
-                        f"generator {m}*g has lambda = {Fraction(hit, n)} "
-                        f"(global sign {sign:+d})")
-    return ObstructionVerdict(
-        OBSTRUCTED, rule,
+    return _generator_verdict(
+        form, factors, rule,
         f"exhausted all {n} multiples: no generator self-links to +-1/{n} "
         f"under either sign")
 
@@ -300,33 +377,25 @@ def mobius_obstruction_p2q(form: LinkingForm, p, q) -> ObstructionVerdict:
     knot bounding a Mobius band admits a generator a with lambda(a,a)
     = +-1/(p^2 q) or +-1/q (splitting off a metabolic summand).  Obstructed
     means no generator attains either value under either global sign.
+
+    A generator's self-linking m^2 k/n has a unit numerator and +-1/q =
+    +-p^2/n does not, so the +-1/q targets are never reached: the verdict
+    is the square-class test of mobius_obstruction_cyclic, with the same
+    least-root witness.
     """
     rule = "mobius-prime-square"
     if not form.group.is_cyclic:
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 is not cyclic")
     n = form.group.order
-    if p < 2 or _prime_factors(p) != [p]:
+    if p < 2 or factorize(p) != {p: 1}:
         return ObstructionVerdict(INAPPLICABLE, rule, f"p = {p} is not prime")
-    if q < 1 or any(q % (r * r) == 0 for r in _prime_factors(q)):
+    if q < 1 or any(e > 1 for e in factorize(q).values()):
         return ObstructionVerdict(INAPPLICABLE, rule, f"q = {q} is not squarefree")
     if gcd(p, q) != 1 or n != p * p * q:
         return ObstructionVerdict(
             INAPPLICABLE, rule, f"order {n} is not p^2*q for p={p}, q={q}")
-    # scaled targets: 1/n and 1/q = p^2/n, both signs, as numerators mod n
-    targets = {1 % n, (-1) % n, (p * p) % n, (-p * p) % n}
-    v = form.self_value()
-    k = v.numerator * (n // v.denominator)
-    for m in range(1, n + 1):
-        if gcd(m, n) == 1:
-            for sign in (1, -1):
-                hit = (sign * m * m * k) % n
-                if hit in targets:
-                    return ObstructionVerdict(
-                        NOT_OBSTRUCTED, rule,
-                        f"generator {m}*g has lambda = {Fraction(hit, n)} "
-                        f"(global sign {sign:+d})")
-    return ObstructionVerdict(
-        OBSTRUCTED, rule,
+    return _generator_verdict(
+        form, factorize(n), rule,
         f"exhausted all generators of Z_{n}: none self-links to "
         f"+-1/{n} or +-1/{q} under either sign")
 
@@ -379,11 +448,8 @@ def metabolic_test(form: LinkingForm) -> bool:
 
 
 def _integer_sqrt(n):
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def _subgroups_of_order(group, target):
@@ -432,9 +498,11 @@ def definiteness_consistency(form: LinkingForm, required_sign) -> ObstructionVer
     definiteness required of the double cover of the bounding 4-ball.
 
     The form's sign must already be fixed (a convention choice recorded in
-    the report metadata).  When some generator self-links to epsilon/n with
-    epsilon determined, a required definiteness of the opposite sign is a
-    contradiction and the knot bounds no Mobius band this way [GiL1992].
+    the report metadata).  With lambda(g,g) = k/n, some generator
+    self-links to +1/n iff k is a unit square mod n, and to -1/n iff -k
+    is.  When exactly one sign epsilon is represented, a required
+    definiteness of the opposite sign is a contradiction and the knot
+    bounds no Mobius band this way [GiL1992].
     """
     rule = "definiteness"
     if required_sign not in (1, -1):
@@ -444,9 +512,10 @@ def definiteness_consistency(form: LinkingForm, required_sign) -> ObstructionVer
     if not form.sign_fixed:
         raise ValueError("definiteness consistency needs a sign-fixed form")
     n = form.group.order
-    orbit = generator_values(form)
-    plus = Fraction(1, n) in orbit
-    minus = Fraction(-1, n) % 1 in orbit
+    k = _numerator(form)
+    factors = factorize(n)
+    plus = _is_unit_square(k % n, factors)
+    minus = _is_unit_square(-k % n, factors)
     if not plus and not minus:
         return ObstructionVerdict(
             INAPPLICABLE, rule, f"no generator self-links to +-1/{n}")

@@ -29,8 +29,8 @@ from . import exactalg, planar
 from .bounds import classify
 from .errors import InconsistencyError
 from .knotio import load_certificates, load_dataset
-from .linkform import (INAPPLICABLE, definiteness_consistency, homology,
-                       klein_discriminant, linking_form,
+from .linkform import (INAPPLICABLE, definiteness_consistency, factorize,
+                       homology, klein_discriminant, linking_form,
                        mobius_obstruction_cyclic, mobius_obstruction_p2q)
 
 SIGN_AUTO = "auto"
@@ -42,19 +42,6 @@ def natural_key(name):
     """Sort key splitting digit runs: 11n2 < 11n10 < 11n100."""
     return tuple(int(tok) if tok.isdigit() else tok
                  for tok in re.split(r"(\d+)", name))
-
-
-def _factorization(n):
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass
@@ -93,7 +80,7 @@ def analyze_diagram(rec, sign, enable_klein=False):
     form = raw_form.fix_sign(sign)
     verdicts = [mobius_obstruction_cyclic(form)]
     if group.is_cyclic and not group.is_trivial:
-        fac = _factorization(group.order)
+        fac = factorize(group.order)
         squares = [p for p, e in fac.items() if e == 2]
         if len(squares) == 1 and all(e == 1 for p, e in fac.items()
                                      if p != squares[0]):
@@ -195,6 +182,10 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
             bounds[rec.name] = new
         if not changed:
             break
+    else:
+        raise InconsistencyError(
+            f"certificate bounds did not converge after {len(records) + 1} "
+            f"sweeps")
 
     # Certificates claiming gamma4 = 1 for an in-dataset target must agree
     # with what the run itself determined for that target.

@@ -11,16 +11,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint
 
 from conftest import cyclic_form
 from gamma4.errors import DiagramError
 from gamma4.exactalg import det, inverse
 from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              NOT_OBSTRUCTED, OBSTRUCTED,
-                             definiteness_consistency, generator_values,
-                             homology, klein_discriminant, linking_form,
-                             metabolic_test, mobius_obstruction_cyclic,
-                             mobius_obstruction_p2q)
+                             _integer_sqrt, definiteness_consistency,
+                             factorize, generator_values, homology,
+                             klein_discriminant, linking_form, metabolic_test,
+                             mobius_obstruction_cyclic, mobius_obstruction_p2q)
 from gamma4.planar import GoeritzData
 
 
@@ -233,6 +236,129 @@ def test_mobius_p2q_preconditions():
         OBSTRUCTED, NOT_OBSTRUCTED)
 
 
+# --- the exhaustive generator loops as a reference -----------------------------
+#
+# The loops below walk every generator m*g and both global signs, as the
+# verdicts once did; the square-class verdicts must reproduce their results
+# and witness texts exactly.
+
+
+def loop_generator_verdict(n, k, targets, exhausted):
+    for m in range(1, n + 1):
+        if gcd(m, n) == 1:
+            for sign in (1, -1):
+                hit = (sign * m * m * k) % n
+                if hit in targets:
+                    return (NOT_OBSTRUCTED,
+                            f"generator {m}*g has lambda = {Fraction(hit, n)} "
+                            f"(global sign {sign:+d})")
+    return OBSTRUCTED, exhausted
+
+
+def loop_mobius_cyclic(n, k):
+    if not exponents_all_odd(n):
+        return INAPPLICABLE, f"order {n} has a prime of even exponent"
+    return loop_generator_verdict(
+        n, k, {1 % n, (-1) % n},
+        f"exhausted all {n} multiples: no generator self-links to +-1/{n} "
+        f"under either sign")
+
+
+def loop_mobius_p2q(n, k, p, q):
+    return loop_generator_verdict(
+        n, k, {1 % n, (-1) % n, (p * p) % n, (-p * p) % n},
+        f"exhausted all generators of Z_{n}: none self-links to "
+        f"+-1/{n} or +-1/{q} under either sign")
+
+
+def loop_definiteness(n, k):
+    """Verdicts for required signs +1 and -1, from the generator orbit."""
+    orbit = {(m * m * k) % n for m in range(1, n) if gcd(m, n) == 1}
+    plus, minus = 1 in orbit, (n - 1) in orbit
+    if not plus and not minus:
+        return [(INAPPLICABLE, f"no generator self-links to +-1/{n}")] * 2
+    if plus and minus:
+        return [(NOT_OBSTRUCTED, "both signs of 1/n are represented")] * 2
+    epsilon = 1 if plus else -1
+    return [(NOT_OBSTRUCTED,
+             f"form sign {epsilon:+d} matches required definiteness")
+            if epsilon == required else
+            (OBSTRUCTED,
+             f"form represents {epsilon:+d}/{n} but the bounding cover must "
+             f"be {'positive' if required > 0 else 'negative'} definite")
+            for required in (1, -1)]
+
+
+def prime_square_split(n):
+    """(p, q) with n = p^2 q, p prime, q squarefree and prime to p; or None."""
+    exponents = factorint(n)
+    squares = [p for p, e in exponents.items() if e == 2]
+    if len(squares) != 1 or max(exponents.values()) > 2:
+        return None
+    p = squares[0]
+    return p, n // (p * p)
+
+
+def pair(verdict):
+    return verdict.result, verdict.witness
+
+
+def assert_verdicts_match_loops(n, k, split):
+    form = cyclic_form(n, k, sign_fixed=True)
+    assert pair(mobius_obstruction_cyclic(form)) == loop_mobius_cyclic(n, k), (n, k)
+    if split is not None:
+        p, q = split
+        assert (pair(mobius_obstruction_p2q(form, p, q))
+                == loop_mobius_p2q(n, k, p, q)), (n, k)
+    assert [pair(definiteness_consistency(form, required))
+            for required in (1, -1)] == loop_definiteness(n, k), (n, k)
+
+
+def test_verdicts_match_generator_loops_for_every_unit_up_to_300():
+    for n in range(2, 301):
+        split = prime_square_split(n)
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                assert_verdicts_match_loops(n, k, split)
+
+
+P2Q_ORDERS = [n for n in range(4, 10**4 + 1) if prime_square_split(n)]
+
+
+@st.composite
+def cyclic_orders_and_units(draw):
+    n = draw(st.one_of(st.integers(2, 10**4),
+                       st.integers(1, 13).map(lambda e: 2 ** e),
+                       st.sampled_from(P2Q_ORDERS)))
+    k = draw(st.integers(1, n - 1).filter(lambda k: gcd(k, n) == 1))
+    return n, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic_orders_and_units())
+def test_verdicts_match_generator_loops_up_to_1e4(case):
+    n, k = case
+    assert_verdicts_match_loops(n, k, prime_square_split(n))
+
+
+def test_mobius_p2q_is_the_plus_minus_k_square_class_test():
+    for n in P2Q_ORDERS[:60]:
+        p, q = prime_square_split(n)
+        squares = {(x * x) % n for x in range(n)}
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                represented = k in squares or (-k) % n in squares
+                verdict = mobius_obstruction_p2q(cyclic_form(n, k), p, q)
+                assert verdict.obstructed == (not represented), (n, k)
+
+
+def test_factorize_matches_sympy():
+    assert factorize(1) == {}
+    for n in list(range(2, 3000)) + [2 ** 40, 3 ** 5 * 7 ** 2 * 10007,
+                                     (10 ** 6 + 3) * (10 ** 6 + 33)]:
+        assert factorize(n) == factorint(n), n
+
+
 # --- Klein discriminant -------------------------------------------------------
 
 
@@ -271,6 +397,13 @@ def test_metabolic_examples():
     assert metabolic_test(cyclic_form(9, 2)) is True
     assert metabolic_test(diag_form(3, 1, 1)) is False       # anisotropic
     assert metabolic_test(cyclic_form(25, 2)) is True
+
+
+def test_integer_sqrt_is_exact_beyond_float_precision():
+    r = 10 ** 17 + 3
+    assert _integer_sqrt(r * r) == r
+    assert _integer_sqrt(r * r - 1) is None
+    assert _integer_sqrt(0) == 0 and _integer_sqrt(1) == 1
 
 
 # --- definiteness consistency ---------------------------------------------------

@@ -1,11 +1,14 @@
 """Pipeline orchestration: cross-checks, fixed points, sign calibration."""
 
 import csv
+import itertools
 import json
 
 import pytest
 
 from gamma4 import pipeline
+from gamma4.bounds import GammaBounds
+from gamma4.cli import main
 from gamma4.errors import InconsistencyError
 from gamma4.knotio import DATASET_COLUMNS, render_pd
 
@@ -74,6 +77,26 @@ def test_certificate_chain_resolves_by_fixed_point(tmp_path):
     entries, _meta = pipeline.run_classification(knots, certs)
     uppers = {e.name: e.bounds.upper for e in entries}
     assert uppers == {"a": 1, "b": 2, "c": 3}
+
+
+def test_certificate_sweep_that_never_settles_is_an_inconsistency(
+        tmp_path, monkeypatch, capsys):
+    knots = write_rows(tmp_path / "knots.csv", HEADER, [
+        "a,11,,,,,,,,,,,,false,,",
+        "b,11,,,,,,,,,,,,false,,",
+    ])
+    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [])
+    calls = itertools.count()
+
+    def never_settling(rec, verdicts, certs, resolve):
+        return GammaBounds(name=rec.name, upper=2 + next(calls))
+
+    monkeypatch.setattr(pipeline, "classify", never_settling)
+    with pytest.raises(InconsistencyError, match="did not converge after 3"):
+        pipeline.run_classification(knots, certs)
+    assert main(["classify", "--dataset", str(knots), "--certificates",
+                 str(certs), "--out", str(tmp_path / "r.json")]) == 4
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_certificate_claim_contradicting_run_is_flagged(tmp_path, dataset_by_name):
