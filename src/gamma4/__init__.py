@@ -16,7 +16,7 @@ from .knotio import (BandMoveCertificate, KnotRecord, PDCode, load_certificates,
                      load_dataset, parse_pd, render_pd)
 from .linkform import (FiniteAbelianGroup, LinkingForm, ObstructionVerdict,
                        definiteness_consistency, generator_values, homology,
-                       klein_discriminant, linking_form, metabolic_test,
+                       klein_discriminant, linking_form,
                        mobius_obstruction_cyclic, mobius_obstruction_p2q)
 from .planar import (Coloring, FaceSet, GoeritzData, checkerboard, faces,
                      goeritz, signature_via_goeritz)

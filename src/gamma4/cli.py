@@ -23,7 +23,7 @@ from .bounds import sig_arf_obstruction
 from .errors import (DataError, DiagramError, Gamma4Error, InconsistencyError,
                      KnotNotFound, PDSemanticError, PDSyntaxError)
 from .knotio import load_dataset, parse_pd, render_pd
-from .linkform import generator_values, homology, linking_form
+from .linkform import generator_values
 
 EXIT_OK = 0
 EXIT_DIAGRAM = 2
@@ -67,18 +67,25 @@ def _load_pd(args):
     raise PDSyntaxError("no diagram given: use --pd or --pd-file")
 
 
-def _find_record(args, need_pd=True):
+def _analyze_knot(args):
+    """The named knot's record, the global sign and its analysis.
+
+    The sign is resolved over the loaded dataset as ``classify`` resolves
+    it, so both report the same verdicts for the same data.
+    """
     records = load_dataset(_dataset_path(args))
     rec = next((r for r in records if r.name == args.knot), None)
     if rec is None:
         raise KnotNotFound(f"knot {args.knot!r} not in {_dataset_path(args)}")
-    if getattr(args, "pd_override", None):
+    if args.pd_override:
         from dataclasses import replace
         rec = replace(rec, pd=parse_pd(args.pd_override))
-    if need_pd and rec.pd is None:
+    if rec.pd is None:
         raise KnotNotFound(f"knot {args.knot!r} has no diagram in the dataset "
                            f"(give one with --pd-override)")
-    return rec
+    sign, _note = pipeline.resolve_sign_convention(records, args.sign_convention)
+    return rec, sign, pipeline.analyze_diagram(rec, sign,
+                                               enable_klein=args.enable_klein)
 
 
 def cmd_goeritz(args):
@@ -105,20 +112,15 @@ def cmd_goeritz(args):
 
 
 def cmd_linkform(args):
-    rec = _find_record(args)
-    gd = planar.goeritz(rec.pd)
-    group = homology(gd)
-    form = linking_form(gd)
+    rec, sign, analysis = _analyze_knot(args)
+    group, form = analysis.group, analysis.form
     print(f"{rec.name}: H1 of the double branched cover = {group} "
-          f"(order {group.order})")
+          f"(order {group.order}), linking form under global sign {sign:+d}")
     if group.is_trivial:
         return EXIT_OK
     if args.json:
         import json
         from .pipeline import _fraction_str
-        sign = -1 if args.sign_convention == "fixed-" else 1
-        analysis = pipeline.analyze_diagram(rec, sign,
-                                            enable_klein=args.enable_klein)
         doc = {
             "knot": rec.name,
             "invariant_factors": list(group.invariant_factors),
@@ -135,16 +137,12 @@ def cmd_linkform(args):
         print(f"  lambda(g{i}, .) = " + "  ".join(str(x) for x in row))
     if group.is_cyclic:
         orbit = sorted(generator_values(form))
-        print(f"  generator orbit (+G^-1 transport): "
-              + ", ".join(str(v) for v in orbit))
+        print("  generator orbit: " + ", ".join(str(v) for v in orbit))
     return EXIT_OK
 
 
 def cmd_obstruct(args):
-    rec = _find_record(args)
-    analysis = pipeline.analyze_diagram(
-        rec, 1 if args.sign_convention != "fixed-" else -1,
-        enable_klein=args.enable_klein)
+    rec, _sign, analysis = _analyze_knot(args)
     print(f"{rec.name}: H1 = {analysis.group}, "
           f"lambda(g,g) = {analysis.fraction if analysis.fraction is not None else 'n/a'}")
     for v in analysis.verdicts:
@@ -211,9 +209,9 @@ def build_parser():
                     "ingested invariant tables.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, dataset=True):
-        if dataset:
-            sp.add_argument("--dataset", help="knots.csv (default: bundled)")
+    def add_common(sp, certificates=False):
+        sp.add_argument("--dataset", help="knots.csv (default: bundled)")
+        if certificates:
             sp.add_argument("--certificates",
                             help="certificates.csv (default: bundled)")
         sp.add_argument("--enable-klein", action="store_true",
@@ -246,13 +244,13 @@ def build_parser():
     sp = sub.add_parser("classify", help="classify a dataset, write a report")
     sp.add_argument("--out", help="write the JSON report here")
     sp.add_argument("--summary-csv", help="also write a per-knot CSV summary")
-    add_common(sp)
+    add_common(sp, certificates=True)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("verify-theorem",
                         help="assert the 121/58/6 classification counts")
     sp.add_argument("--list-mismatches", action="store_true")
-    add_common(sp)
+    add_common(sp, certificates=True)
     sp.set_defaults(func=cmd_verify_theorem)
     return p
 

@@ -17,8 +17,9 @@ Euler's criterion at each odd prime and a residue condition mod 4 or 8 at
 2.  A NotObstructed witness names the least such m, the minimum over the
 CRT combinations of the square roots modulo each prime power
 (Tonelli-Shanks and Hensel lifting); one modular multiplication checks it.
-Nondegeneracy of non-cyclic forms, the metabolic search and the generator
-orbit still enumerate elements, and are meant for small groups.
+Every verdict takes only the form and decides from the shape of H1, its
+order factored once, whether it applies.  Nondegeneracy of non-cyclic
+forms and the generator orbit still enumerate elements (small groups).
 
 [GL1978]  Gordon, Litherland, "On the signature of a link".
 [GiL1992] Gilmer, Livingston, obstructions for a knot to bound a Mobius
@@ -28,7 +29,8 @@ orbit still enumerate elements, and are meant for small groups.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd
 
 from . import exactalg
 from .errors import DiagramError
@@ -59,6 +61,11 @@ class FiniteAbelianGroup:
         for d in self.invariant_factors:
             n *= d
         return n
+
+    @cached_property
+    def order_factors(self):
+        """{p: e} with order = prod p^e, factored on first use."""
+        return factorize(self.order)
 
     @property
     def is_cyclic(self):
@@ -321,7 +328,7 @@ def _least_sqrt(c, factors):
     return min(roots)
 
 
-def _generator_verdict(form, factors, rule, exhausted):
+def _generator_verdict(form, rule, exhausted):
     """NotObstructed with the least generator m*g that self-links to +-1/n,
     or Obstructed with the ``exhausted`` note when none does.
 
@@ -330,7 +337,7 @@ def _generator_verdict(form, factors, rule, exhausted):
     global sign meets the least such m first, under sign +1: the witness
     is the one that walk reports, and the note states what it exhausts.
     """
-    n = form.group.order
+    n, factors = form.group.order, form.group.order_factors
     k = _numerator(form)
     inverse_k = pow(k, -1, n)
     roots = [_least_sqrt(s * inverse_k % n, factors) for s in (1, -1)
@@ -358,25 +365,26 @@ def mobius_obstruction_cyclic(form: LinkingForm) -> ObstructionVerdict:
     if not form.group.is_cyclic:
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 is not cyclic")
     n = form.group.order
-    factors = factorize(n)
-    if any(e % 2 == 0 for e in factors.values()):
+    if any(e % 2 == 0 for e in form.group.order_factors.values()):
         return ObstructionVerdict(
             INAPPLICABLE, rule, f"order {n} has a prime of even exponent")
     if form.group.is_trivial:
         return ObstructionVerdict(NOT_OBSTRUCTED, rule, "trivial H1")
     return _generator_verdict(
-        form, factors, rule,
+        form, rule,
         f"exhausted all {n} multiples: no generator self-links to +-1/{n} "
         f"under either sign")
 
 
-def mobius_obstruction_p2q(form: LinkingForm, p, q) -> ObstructionVerdict:
+def mobius_obstruction_p2q(form: LinkingForm) -> ObstructionVerdict:
     """Mobius-band obstruction for cyclic H1 of order p^2 * q.
 
-    For H1 = Z_{p^2 q} with p prime and q squarefree and coprime to p, a
-    knot bounding a Mobius band admits a generator a with lambda(a,a)
-    = +-1/(p^2 q) or +-1/q (splitting off a metabolic summand).  Obstructed
-    means no generator attains either value under either global sign.
+    Applies when H1 = Z_n with exactly one prime p of exponent 2 in n and
+    every other prime of exponent 1, so n = p^2 q with q squarefree and
+    prime to p.  A knot bounding a Mobius band then admits a generator a
+    with lambda(a,a) = +-1/n or +-1/q (splitting off a metabolic summand).
+    Obstructed means no generator attains either value under either
+    global sign.
 
     A generator's self-linking m^2 k/n has a unit numerator and +-1/q =
     +-p^2/n does not, so the +-1/q targets are never reached: the verdict
@@ -386,111 +394,47 @@ def mobius_obstruction_p2q(form: LinkingForm, p, q) -> ObstructionVerdict:
     rule = "mobius-prime-square"
     if not form.group.is_cyclic:
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 is not cyclic")
-    n = form.group.order
-    if p < 2 or factorize(p) != {p: 1}:
-        return ObstructionVerdict(INAPPLICABLE, rule, f"p = {p} is not prime")
-    if q < 1 or any(e > 1 for e in factorize(q).values()):
-        return ObstructionVerdict(INAPPLICABLE, rule, f"q = {q} is not squarefree")
-    if gcd(p, q) != 1 or n != p * p * q:
+    n, factors = form.group.order, form.group.order_factors
+    squared = [p for p, e in factors.items() if e == 2]
+    if len(squared) != 1 or any(e > 2 for e in factors.values()):
         return ObstructionVerdict(
-            INAPPLICABLE, rule, f"order {n} is not p^2*q for p={p}, q={q}")
+            INAPPLICABLE, rule,
+            f"order {n} is not p^2*q with q squarefree and prime to p")
+    q = n // squared[0] ** 2
     return _generator_verdict(
-        form, factorize(n), rule,
+        form, rule,
         f"exhausted all generators of Z_{n}: none self-links to "
         f"+-1/{n} or +-1/{q} under either sign")
 
 
-def klein_discriminant(form: LinkingForm, p) -> ObstructionVerdict:
-    """Punctured-Klein-bottle obstruction for H1 = Z_p + Z_p.
+def klein_discriminant(form: LinkingForm) -> ObstructionVerdict:
+    """Punctured-Klein-bottle obstruction for H1 = Z_p + Z_p, p prime.
 
     The discriminant of the form must be +-1 in F_p*/(F_p*)^2 for the knot
-    to bound a punctured Klein bottle [GiL1992, Thm 4]; the verdict is
-    NotObstructed when det(p * lambda) mod p is plus or minus a nonzero
-    square.  The discriminant class is insensitive to the global sign.
+    to bound a punctured Klein bottle [GiL1992, Thm 4]: NotObstructed when
+    disc = det(p * lambda) mod p or -disc is a square, by Euler's criterion
+    (c is a square iff c^((p-1)/2) = 1).  If neither is, -1 = -disc/disc
+    is one, so p = 1 mod 4.  The class is insensitive to the global sign.
     """
     rule = "klein-discriminant"
-    if tuple(form.group.invariant_factors) != (p, p):
+    group, factors = form.group, form.group.invariant_factors
+    if len(factors) != 2 or group.order_factors != {factors[0]: 2}:
         return ObstructionVerdict(
-            INAPPLICABLE, rule, f"H1 is {form.group}, not Z{p} + Z{p}")
+            INAPPLICABLE, rule, f"H1 is {group}, not Zp + Zp for a prime p")
+    p = factors[0]
     scaled = [[form.values[i][j] * p for j in range(2)] for i in range(2)]
     if any(x % 1 != 0 for row in scaled for x in row):
         raise ValueError("form denominators exceed p on Z_p + Z_p")
     disc = int(scaled[0][0] * scaled[1][1] - scaled[0][1] * scaled[1][0]) % p
     if disc == 0:
         return ObstructionVerdict(INAPPLICABLE, rule, "degenerate discriminant")
-    squares = {(x * x) % p for x in range(1, p)}
-    ok = disc in squares or (-disc) % p in squares
-    if ok:
+    if _is_unit_square(disc, {p: 1}) or _is_unit_square(-disc % p, {p: 1}):
         return ObstructionVerdict(
             NOT_OBSTRUCTED, rule, f"discriminant {disc} is +-square mod {p}")
     return ObstructionVerdict(
         OBSTRUCTED, rule,
         f"discriminant {disc} is not +-square mod {p} "
-        f"(squares: {sorted(squares)})")
-
-
-def metabolic_test(form: LinkingForm) -> bool:
-    """True iff some subgroup H with |H|^2 = |group| has lambda == 0 on H.
-
-    Exhaustive search over the subgroup lattice; group orders in this
-    package stay small enough that brute force is a feature, not a bug.
-    """
-    n = form.group.order
-    root = _integer_sqrt(n)
-    if root is None:
-        return False
-    if root == 1:
-        return True  # trivial subgroup is metabolic for the trivial group
-    for sub in _subgroups_of_order(form.group, root):
-        if all(form.evaluate(x, y) == 0 for x in sub for y in sub):
-            return True
-    return False
-
-
-def _integer_sqrt(n):
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def _subgroups_of_order(group, target):
-    """All subgroups of the given order, as frozensets of element tuples."""
-    elements = group.elements()
-    factors = group.invariant_factors
-    zero = tuple(0 for _ in factors)
-
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, factors))
-
-    def span(gens):
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
-
-    # BFS over the subgroup lattice: repeatedly extend by one element.
-    found = set()
-    queue = [frozenset({zero})]
-    seen_subgroups = {frozenset({zero})}
-    while queue:
-        h = queue.pop()
-        if len(h) == target:
-            found.add(h)
-            continue
-        if target % len(h) != 0:
-            continue
-        for x in elements:
-            if x not in h:
-                extended = span(list(h) + [x])
-                if len(extended) <= target and extended not in seen_subgroups:
-                    seen_subgroups.add(extended)
-                    queue.append(extended)
-    return found
+        f"(Euler: {disc}^{(p - 1) // 2} = -1, p = 1 mod 4)")
 
 
 def definiteness_consistency(form: LinkingForm, required_sign) -> ObstructionVerdict:
@@ -511,9 +455,8 @@ def definiteness_consistency(form: LinkingForm, required_sign) -> ObstructionVer
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 not cyclic and nontrivial")
     if not form.sign_fixed:
         raise ValueError("definiteness consistency needs a sign-fixed form")
-    n = form.group.order
+    n, factors = form.group.order, form.group.order_factors
     k = _numerator(form)
-    factors = factorize(n)
     plus = _is_unit_square(k % n, factors)
     minus = _is_unit_square(-k % n, factors)
     if not plus and not minus:

@@ -29,8 +29,8 @@ from . import exactalg, planar
 from .bounds import classify
 from .errors import InconsistencyError
 from .knotio import load_certificates, load_dataset
-from .linkform import (INAPPLICABLE, definiteness_consistency, factorize,
-                       homology, klein_discriminant, linking_form,
+from .linkform import (INAPPLICABLE, definiteness_consistency, homology,
+                       klein_discriminant, linking_form,
                        mobius_obstruction_cyclic, mobius_obstruction_p2q)
 
 SIGN_AUTO = "auto"
@@ -63,7 +63,8 @@ class DiagramAnalysis:
 
 
 def analyze_diagram(rec, sign, enable_klein=False):
-    """Goeritz -> homology -> linking form -> verdicts for one record."""
+    """Goeritz -> homology -> linking form -> verdicts for one record; the
+    p^2 q and Klein verdicts are kept only where they apply to H1."""
     gd = planar.goeritz(rec.pd)
     det_g = exactalg.det(gd.g)
     sig = planar.signature_via_goeritz(gd)
@@ -76,24 +77,20 @@ def analyze_diagram(rec, sign, enable_klein=False):
             f"{rec.name}: Goeritz signature {sig} disagrees with the ingested "
             f"signature {rec.signature}; convention or data error")
     group = homology(gd)
-    raw_form = linking_form(gd)
-    form = raw_form.fix_sign(sign)
+    form = linking_form(gd).fix_sign(sign)
     verdicts = [mobius_obstruction_cyclic(form)]
-    if group.is_cyclic and not group.is_trivial:
-        fac = factorize(group.order)
-        squares = [p for p, e in fac.items() if e == 2]
-        if len(squares) == 1 and all(e == 1 for p, e in fac.items()
-                                     if p != squares[0]):
-            p = squares[0]
-            verdicts.append(mobius_obstruction_p2q(form, p, group.order // (p * p)))
+    _append_if_applicable(verdicts, mobius_obstruction_p2q(form))
     if rec.definiteness is not None:
         verdicts.append(definiteness_consistency(form, rec.definiteness))
     if enable_klein:
-        factors = group.invariant_factors
-        if len(factors) == 2 and factors[0] == factors[1]:
-            verdicts.append(klein_discriminant(form, factors[0]))
+        _append_if_applicable(verdicts, klein_discriminant(form))
     return DiagramAnalysis(goeritz=gd, group=group, form=form,
                            verdicts=verdicts, det=abs(det_g), signature=sig)
+
+
+def _append_if_applicable(verdicts, verdict):
+    if verdict.result != INAPPLICABLE:
+        verdicts.append(verdict)
 
 
 def resolve_sign_convention(records, requested):

@@ -159,22 +159,20 @@ class Coloring:
 
 def default_outer_face(fs: FaceSet) -> int:
     """Deterministic outer-face choice: most incidences, lowest index wins."""
-    return max(range(len(fs.faces)), key=lambda k: (len(fs.faces[k]), -k))
+    return _largest_face(fs, range(len(fs.faces)))
 
 
-def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
-    """Two-color the faces and classify every crossing.
+def _largest_face(fs, candidates):
+    return max(candidates, key=lambda k: (len(fs.faces[k]), -k))
 
-    Rejects nugatory crossings (both white quadrants on the same face).
-    ``outer`` picks the unbounded face; diagrams live on the sphere, so
-    the choice is genuine input data recovered from the source picture.
-    """
+
+class _NugatoryCrossing(DiagramError):
+    """Both white quadrants of a crossing lie on one face."""
+
+
+def _face_colors(fs: FaceSet, outer):
+    """Two-color the faces, ``outer`` white."""
     nfaces = len(fs.faces)
-    if outer is None:
-        outer = default_outer_face(fs)
-    if not 0 <= outer < nfaces:
-        raise DiagramError(f"outer face {outer} out of range 0..{nfaces - 1}")
-
     adjacency = [set() for _ in range(nfaces)]
     edge_faces = {}
     for k, face in enumerate(fs.faces):
@@ -202,6 +200,22 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
                 raise DiagramError("face adjacency graph is not bipartite")
     if any(c is None for c in colors):
         raise DiagramError("disconnected face structure")
+    return colors
+
+
+def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
+    """Two-color the faces and classify every crossing.
+
+    Rejects nugatory crossings (both white quadrants on the same face).
+    ``outer`` picks the unbounded face; diagrams live on the sphere, so
+    the choice is genuine input data recovered from the source picture.
+    """
+    nfaces = len(fs.faces)
+    if outer is None:
+        outer = default_outer_face(fs)
+    if not 0 <= outer < nfaces:
+        raise DiagramError(f"outer face {outer} out of range 0..{nfaces - 1}")
+    colors = _face_colors(fs, outer)
 
     white_faces = [outer] + [k for k in range(nfaces) if colors[k] == WHITE and k != outer]
     white_index = {k: i for i, k in enumerate(white_faces)}
@@ -219,8 +233,8 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
         white_is_13 = colors[qf[1]] == WHITE
         pair = (qf[1], qf[3]) if white_is_13 else (qf[0], qf[2])
         if pair[0] == pair[1]:
-            raise DiagramError("nugatory crossing: white quadrants share a face",
-                               crossing=c)
+            raise _NugatoryCrossing(
+                "nugatory crossing: white quadrants share a face", crossing=c)
         crossing_white.append((white_index[pair[0]], white_index[pair[1]]))
         etas.append(ETA_SIGN * (1 if white_is_13 else -1))
         # both strands run white-to-white; they do so in the same rotational
@@ -255,11 +269,22 @@ def goeritz(pd: PDCode, outer=None) -> GoeritzData:
     diagonal rows summing to zero; G deletes row and column 0; mu sums
     eta over the type II crossings.  The crossingless unknot diagram gets
     the empty 0x0 matrix, determinant 1, mu 0.
+
+    Without an explicit ``outer``, a default coloring that makes a crossing
+    nugatory is swapped once for the one rooted at the largest face of the
+    other color, where that crossing's white quadrants lie on two faces.
     """
     if len(pd) == 0:
         return GoeritzData(gfull=[[0]], g=[], mu=0)
     fs = faces(pd)
-    col = checkerboard(pd, fs, outer=outer)
+    try:
+        col = checkerboard(pd, fs, outer=outer)
+    except _NugatoryCrossing:
+        if outer is not None:
+            raise
+        colors = _face_colors(fs, default_outer_face(fs))
+        other = _largest_face(fs, [k for k, c in enumerate(colors) if c == BLACK])
+        col = checkerboard(pd, fs, outer=other)
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]
     for c, (i, j) in enumerate(col.crossing_white):

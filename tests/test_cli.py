@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conftest import TREFOIL_PD
 from gamma4.cli import main
 
@@ -160,3 +162,48 @@ def test_goeritz_11n155_prints_published_matrix(capsys, dataset_by_name):
     assert "det G = -51" in out
     assert "[ 3 -1  0 -1]" in out
     assert "invariant factors: [51]" in out
+
+
+def one_row_11n17_with_negative_definiteness(tmp_path, knots_csv):
+    """The bundled 11n17 row alone, its definiteness flipped to -1: the
+    +1/47 form contradicts it under +G^-1, so ``auto`` resolves to -1."""
+    lines = knots_csv.read_text().splitlines()
+    row = next(line for line in lines if line.startswith("11n17,"))
+    assert row.endswith(",1")
+    knots = tmp_path / "knots.csv"
+    knots.write_text(f"{lines[0]}\n{row[:-1]}-1\n")
+    certs = tmp_path / "certificates.csv"
+    certs.write_text("source,h,target,target_gamma4,figure_ref\n")
+    return knots, certs
+
+
+def test_auto_sign_resolves_alike_in_every_command(capsys, tmp_path, knots_csv):
+    knots, certs = one_row_11n17_with_negative_definiteness(tmp_path, knots_csv)
+    report = tmp_path / "r.json"
+    code, _out, _err = run(capsys, "classify", "--dataset", str(knots),
+                           "--certificates", str(certs), "--out", str(report))
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["metadata"]["linking_sign"]["value"] == -1
+    [knot] = doc["knots"]
+    definiteness = [v for v in knot["verdicts"] if v["rule"] == "definiteness"]
+    assert [v["result"] for v in definiteness] == ["NotObstructed"]
+
+    code, out, _err = run(capsys, "obstruct", "--knot", "11n17",
+                          "--dataset", str(knots))
+    assert code == 0
+    assert "definiteness: NotObstructed" in out
+
+    code, out, _err = run(capsys, "linkform", "--knot", "11n17",
+                          "--dataset", str(knots), "--json")
+    assert code == 0
+    header, _, payload = out.partition("\n")
+    assert "global sign -1" in header
+    assert json.loads(payload)["form"] == [[knot["linking_fraction"]]]
+
+
+def test_obstruct_and_linkform_take_no_certificates(capsys):
+    for command in ("obstruct", "linkform"):
+        with pytest.raises(SystemExit):
+            main([command, "--knot", "11n17", "--certificates", "c.csv"])
+        capsys.readouterr()

@@ -20,10 +20,10 @@ from gamma4.errors import DiagramError
 from gamma4.exactalg import det, inverse
 from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              NOT_OBSTRUCTED, OBSTRUCTED,
-                             _integer_sqrt, definiteness_consistency,
-                             factorize, generator_values, homology,
-                             klein_discriminant, linking_form, metabolic_test,
-                             mobius_obstruction_cyclic, mobius_obstruction_p2q)
+                             definiteness_consistency, factorize,
+                             generator_values, homology, klein_discriminant,
+                             linking_form, mobius_obstruction_cyclic,
+                             mobius_obstruction_p2q)
 from gamma4.planar import GoeritzData
 
 
@@ -223,17 +223,31 @@ def test_mobius_cyclic_vs_oracle_small_sweep():
 
 
 def test_mobius_p2q_published_values():
-    assert mobius_obstruction_p2q(cyclic_form(63, 61), 3, 7).result == OBSTRUCTED
-    assert mobius_obstruction_p2q(cyclic_form(63, 11), 3, 7).result == OBSTRUCTED
-    assert mobius_obstruction_p2q(cyclic_form(63, 1), 3, 7).result == NOT_OBSTRUCTED
+    assert mobius_obstruction_p2q(cyclic_form(63, 61)).result == OBSTRUCTED
+    assert mobius_obstruction_p2q(cyclic_form(63, 11)).result == OBSTRUCTED
+    assert mobius_obstruction_p2q(cyclic_form(63, 1)).result == NOT_OBSTRUCTED
 
 
 def test_mobius_p2q_preconditions():
-    assert mobius_obstruction_p2q(cyclic_form(63, 61), 4, 7).result == INAPPLICABLE
-    assert mobius_obstruction_p2q(cyclic_form(63, 61), 3, 12).result == INAPPLICABLE
-    assert mobius_obstruction_p2q(cyclic_form(63, 61), 3, 5).result == INAPPLICABLE
-    assert mobius_obstruction_p2q(cyclic_form(45, 2), 3, 5).result in (
-        OBSTRUCTED, NOT_OBSTRUCTED)
+    # the order alone decides: one prime squared, every other prime once
+    for n, k in ((1, 0), (15, 2), (27, 2), (36, 5), (81, 2), (4 * 9 * 5, 7)):
+        assert mobius_obstruction_p2q(cyclic_form(n, k)).result == INAPPLICABLE
+    f33 = LinkingForm(group=FiniteAbelianGroup((3, 3)),
+                      values=((Fraction(1, 3), Fraction(0)),
+                              (Fraction(0), Fraction(1, 3))))
+    assert mobius_obstruction_p2q(f33).result == INAPPLICABLE
+    for n, k in ((4, 1), (12, 5), (45, 2), (63, 61)):
+        assert mobius_obstruction_p2q(cyclic_form(n, k)).result in (
+            OBSTRUCTED, NOT_OBSTRUCTED)
+
+
+def test_mobius_p2q_applies_exactly_on_prime_square_orders():
+    for n in range(1, 3001):
+        exponents = factorint(n)
+        shape = sorted(exponents.values())
+        expected = shape.count(2) == 1 and shape.count(1) == len(shape) - 1
+        applies = mobius_obstruction_p2q(cyclic_form(n, 1)).result != INAPPLICABLE
+        assert applies == expected, n
 
 
 # --- the exhaustive generator loops as a reference -----------------------------
@@ -306,9 +320,11 @@ def pair(verdict):
 def assert_verdicts_match_loops(n, k, split):
     form = cyclic_form(n, k, sign_fixed=True)
     assert pair(mobius_obstruction_cyclic(form)) == loop_mobius_cyclic(n, k), (n, k)
-    if split is not None:
+    if split is None:
+        assert mobius_obstruction_p2q(form).result == INAPPLICABLE, (n, k)
+    else:
         p, q = split
-        assert (pair(mobius_obstruction_p2q(form, p, q))
+        assert (pair(mobius_obstruction_p2q(form))
                 == loop_mobius_p2q(n, k, p, q)), (n, k)
     assert [pair(definiteness_consistency(form, required))
             for required in (1, -1)] == loop_definiteness(n, k), (n, k)
@@ -343,12 +359,11 @@ def test_verdicts_match_generator_loops_up_to_1e4(case):
 
 def test_mobius_p2q_is_the_plus_minus_k_square_class_test():
     for n in P2Q_ORDERS[:60]:
-        p, q = prime_square_split(n)
         squares = {(x * x) % n for x in range(n)}
         for k in range(1, n):
             if gcd(k, n) == 1:
                 represented = k in squares or (-k) % n in squares
-                verdict = mobius_obstruction_p2q(cyclic_form(n, k), p, q)
+                verdict = mobius_obstruction_p2q(cyclic_form(n, k))
                 assert verdict.obstructed == (not represented), (n, k)
 
 
@@ -375,35 +390,47 @@ def diag_form(p, a, b):
 
 
 def test_klein_discriminant_examples():
-    assert klein_discriminant(hyperbolic(5), 5).result == NOT_OBSTRUCTED
-    assert klein_discriminant(diag_form(3, 1, 1), 3).result == NOT_OBSTRUCTED
+    assert klein_discriminant(hyperbolic(5)).result == NOT_OBSTRUCTED
+    assert klein_discriminant(diag_form(3, 1, 1)).result == NOT_OBSTRUCTED
+    assert klein_discriminant(diag_form(2, 1, 1)).result == NOT_OBSTRUCTED
     # det(p*lambda) = 2 and +-squares mod 5 are {1, 4}: obstructed
-    assert klein_discriminant(diag_form(5, 1, 2), 5).result == OBSTRUCTED
-    assert klein_discriminant(cyclic_form(25, 1), 5).result == INAPPLICABLE
+    assert klein_discriminant(diag_form(5, 1, 2)).result == OBSTRUCTED
+    assert klein_discriminant(cyclic_form(25, 1)).result == INAPPLICABLE
+    # Z9 + Z9 and Z3 + Z9 are not Zp + Zp for a prime p
+    assert klein_discriminant(diag_form(9, 1, 1)).result == INAPPLICABLE
+    z3_z9 = LinkingForm(group=FiniteAbelianGroup((3, 9)),
+                        values=((Fraction(1, 3), Fraction(0)),
+                                (Fraction(0), Fraction(1, 9))))
+    assert klein_discriminant(z3_z9).result == INAPPLICABLE
 
 
 def test_klein_insensitive_to_global_sign():
     f = diag_form(5, 1, 2)
-    assert klein_discriminant(f, 5).result == klein_discriminant(f.negated(), 5).result
+    assert klein_discriminant(f).result == klein_discriminant(f.negated()).result
 
 
-# --- metabolic forms ----------------------------------------------------------
+def klein_by_squares_set(p, disc):
+    """The discriminant rule with the nonzero squares mod p listed out."""
+    squares = {(x * x) % p for x in range(1, p)}
+    represented = disc in squares or (-disc) % p in squares
+    return NOT_OBSTRUCTED if represented else OBSTRUCTED
 
 
-def test_metabolic_examples():
-    assert metabolic_test(cyclic_form(3, 1)) is False       # 3 not a square
-    assert metabolic_test(cyclic_form(9, 1)) is True        # H = {0, 3, 6}
-    assert metabolic_test(hyperbolic(5)) is True             # isotropic line
-    assert metabolic_test(cyclic_form(9, 2)) is True
-    assert metabolic_test(diag_form(3, 1, 1)) is False       # anisotropic
-    assert metabolic_test(cyclic_form(25, 2)) is True
+def test_klein_euler_criterion_matches_squares_set():
+    for p in range(3, 201, 2):
+        if factorint(p) != {p: 1}:
+            continue
+        for disc in range(1, p):
+            verdict = klein_discriminant(diag_form(p, 1, disc))
+            assert verdict.result == klein_by_squares_set(p, disc), (p, disc)
 
 
-def test_integer_sqrt_is_exact_beyond_float_precision():
-    r = 10 ** 17 + 3
-    assert _integer_sqrt(r * r) == r
-    assert _integer_sqrt(r * r - 1) is None
-    assert _integer_sqrt(0) == 0 and _integer_sqrt(1) == 1
+def test_klein_obstructed_witness_is_one_short_line():
+    verdict = klein_discriminant(diag_form(10009, 1, 7))
+    assert verdict.result == OBSTRUCTED
+    assert "\n" not in verdict.witness and len(verdict.witness) < 100
+    assert pow(7, (10009 - 1) // 2, 10009) == 10009 - 1
+    assert f"7^{(10009 - 1) // 2} = -1" in verdict.witness
 
 
 # --- definiteness consistency ---------------------------------------------------

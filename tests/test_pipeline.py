@@ -208,3 +208,20 @@ def test_klein_verdict_reachable_on_noncyclic_homology():
     # the Mobius test reports Inapplicable on the non-cyclic group
     mobius = [v for v in analysis.verdicts if v.rule == "mobius-cyclic"]
     assert mobius[0].result == "Inapplicable"
+
+
+def test_factorize_runs_at_most_once_per_analysis(dataset, monkeypatch):
+    from gamma4 import linkform
+    calls = []
+    original = linkform.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(linkform, "factorize", counting)
+    for rec in dataset:
+        if rec.pd is not None:
+            calls.clear()
+            pipeline.analyze_diagram(rec, 1, enable_klein=True)
+            assert len(calls) <= 1, (rec.name, calls)

@@ -88,6 +88,27 @@ def test_nugatory_crossing_rejected_with_index():
     assert "crossing 0" in str(err.value)
 
 
+@pytest.mark.parametrize("kink", ["PD[X[1,2,2,1]]", "PD[X[1,1,2,2]]"])
+def test_one_crossing_kinks_are_unknots(kink):
+    # the default outer face makes the crossing nugatory; the coloring
+    # rooted at a face of the other color does not
+    gd = goeritz(parse_pd(kink))
+    assert abs(det(gd.g)) == 1
+    assert signature_via_goeritz(gd) == 0
+
+
+def test_kink_summand_leaves_the_trefoil_unchanged():
+    gd = goeritz(connect_sum(torus2(3), parse_pd("PD[X[1,1,2,2]]")))
+    assert abs(det(gd.g)) == 3
+    assert signature_via_goeritz(gd) == -2
+
+
+def test_explicit_outer_face_keeps_rejecting_nugatory_crossings():
+    kink = parse_pd("PD[X[1,1,2,2]]")
+    with pytest.raises(DiagramError):
+        goeritz(kink, outer=default_outer_face(faces(kink)))
+
+
 def test_default_outer_face_is_deterministic():
     fs = faces(TREFOIL)
     assert default_outer_face(fs) == default_outer_face(faces(TREFOIL))
