@@ -23,15 +23,14 @@ Usage: python scripts/make_dataset.py [--out-dir src/gamma4/data]
 import argparse
 import csv
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gamma4.exactalg import det  # noqa: E402
-from gamma4.knotio import render_pd, validate_pd  # noqa: E402
-from gamma4.linkform import (generator_values, homology,  # noqa: E402
-                             linking_form)
+from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS,  # noqa: E402
+                           render_pd, validate_pd)
+from gamma4.linkform import homology, linking_form, represents  # noqa: E402
 from gamma4.medial import (PlanarGraph, conjugate_by_permutation_sign,  # noqa: E402
                            fan_graph, medial_pd, outer_face_for_region)
 from gamma4.planar import goeritz, signature_via_goeritz  # noqa: E402
@@ -303,11 +302,6 @@ MOVES = [
     ("11n129", 0, "unknown", "slice", "band move stated without figure"),
 ]
 
-COLUMNS = ["name", "crossings", "pd", "signature", "arf", "g4",
-           "u_lo", "u_hi", "us_lo", "us_hi", "c4_lo", "c4_hi",
-           "crosscap_hi", "slice", "determinant", "definiteness"]
-
-
 def arf_from_det(d):
     """Murasugi: Arf = 0 iff det == +-1 (mod 8)."""
     return 0 if d % 8 in (1, 7) else 1
@@ -334,16 +328,14 @@ def build_realization(name):
     group = homology(gd)
     assert group.is_cyclic and group.order == target_det, f"{name}: {group}"
     form = linking_form(gd).fix_sign(1)
-    orbit = generator_values(form)
-    frac = Fraction(numerator, target_det)
     if mode == "any":
-        assert frac in orbit or (-frac) % 1 in orbit, \
-            f"{name}: published fraction {frac} not in orbit (either sign)"
+        assert represents(form, numerator) or represents(form, -numerator), \
+            f"{name}: published fraction {numerator}/{target_det} not " \
+            f"represented (either sign)"
     elif mode == "plus":
-        assert Fraction(1, target_det) in orbit, f"{name}: +1/{target_det} missing"
+        assert represents(form, 1), f"{name}: +1/{target_det} missing"
     elif mode == "minus":
-        assert Fraction(-1, target_det) % 1 in orbit, \
-            f"{name}: -1/{target_det} missing"
+        assert represents(form, -1), f"{name}: -1/{target_det} missing"
     sigma = signature_via_goeritz(gd)
     arf = arf_from_det(target_det)
     assert sigma % 2 == 0
@@ -357,7 +349,7 @@ def build_rows():
     rows = {}
 
     def base(num):
-        return {c: "" for c in COLUMNS} | {
+        return {c: "" for c in DATASET_COLUMNS} | {
             "name": f"11n{num}", "crossings": "11", "slice": "false"}
 
     for num in range(1, 186):
@@ -416,12 +408,12 @@ def main():
     rows = build_rows()
 
     with (out / "knots.csv").open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=COLUMNS, lineterminator="\n")
+        w = csv.DictWriter(fh, fieldnames=DATASET_COLUMNS, lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
     with (out / "certificates.csv").open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["source", "h", "target", "target_gamma4", "figure_ref"])
+        w.writerow(CERTIFICATE_COLUMNS)
         w.writerows(MOVES)
     print(f"wrote {out / 'knots.csv'} ({len(rows)} rows)")
     print(f"wrote {out / 'certificates.csv'} ({len(MOVES)} rows)")

@@ -15,9 +15,10 @@ from .exactalg import SNFResult, det, inverse, signature, smith_normal_form
 from .knotio import (BandMoveCertificate, KnotRecord, PDCode, load_certificates,
                      load_dataset, parse_pd, render_pd)
 from .linkform import (FiniteAbelianGroup, LinkingForm, ObstructionVerdict,
-                       definiteness_consistency, generator_values, homology,
+                       definiteness_consistency, homology,
                        klein_discriminant, linking_form,
-                       mobius_obstruction_cyclic, mobius_obstruction_p2q)
+                       mobius_obstruction_cyclic, mobius_obstruction_p2q,
+                       represents, square_class)
 from .planar import (Coloring, FaceSet, GoeritzData, checkerboard, faces,
                      goeritz, signature_via_goeritz)
 

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``goeritz``    -- print G', G, mu, det and Smith form for one diagram
-* ``linkform``   -- homology, linking form and generator orbit for a knot
+* ``linkform``   -- homology, linking form and the square class of the
+  generator self-linkings for a knot
 * ``obstruct``   -- obstruction verdicts for one knot
 * ``classify``   -- classify a dataset and write the JSON report
 * ``verify-theorem`` -- assert the expected 121/58/6 split of the bundled
@@ -23,7 +24,7 @@ from .bounds import sig_arf_obstruction
 from .errors import (DataError, DiagramError, Gamma4Error, InconsistencyError,
                      KnotNotFound, PDSemanticError, PDSyntaxError)
 from .knotio import load_dataset, parse_pd, render_pd
-from .linkform import generator_values
+from .linkform import square_class
 
 EXIT_OK = 0
 EXIT_DIAGRAM = 2
@@ -129,15 +130,16 @@ def cmd_linkform(args):
                           "witness": v.witness} for v in analysis.verdicts],
         }
         if group.is_cyclic:
-            doc["generator_orbit"] = sorted(
-                _fraction_str(v) for v in generator_values(form))
+            doc["square_class"] = square_class(form)
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     for i, row in enumerate(form.values):
         print(f"  lambda(g{i}, .) = " + "  ".join(str(x) for x in row))
     if group.is_cyclic:
-        orbit = sorted(generator_values(form))
-        print("  generator orbit: " + ", ".join(str(v) for v in orbit))
+        print("  square class of k, lambda(g0, g0) = k/n: " + ", ".join(
+            f"k mod {2 ** min(group.order_factors[2], 3)} = {c}" if p == 2
+            else f"(k/{p}) = {c:+d}"
+            for p, c in sorted(square_class(form).items())))
     return EXIT_OK
 
 

@@ -18,8 +18,9 @@ Euler's criterion at each odd prime and a residue condition mod 4 or 8 at
 CRT combinations of the square roots modulo each prime power
 (Tonelli-Shanks and Hensel lifting); one modular multiplication checks it.
 Every verdict takes only the form and decides from the shape of H1, its
-order factored once, whether it applies.  Nondegeneracy of non-cyclic
-forms and the generator orbit still enumerate elements (small groups).
+order factored once, whether it applies.  Nothing here enumerates H1:
+nondegeneracy is decided from the form matrix one prime at a time, and
+the orbit of generator self-linkings is reported by its square class.
 
 [GL1978]  Gordon, Litherland, "On the signature of a link".
 [GiL1992] Gilmer, Livingston, obstructions for a knot to bound a Mobius
@@ -55,7 +56,7 @@ class FiniteAbelianGroup:
                 raise ValueError(f"invariant factors {factors} violate divisibility")
         object.__setattr__(self, "invariant_factors", factors)
 
-    @property
+    @cached_property
     def order(self):
         n = 1
         for d in self.invariant_factors:
@@ -75,13 +76,6 @@ class FiniteAbelianGroup:
     def is_trivial(self):
         return not self.invariant_factors
 
-    def elements(self):
-        """All elements as coefficient tuples against the generators."""
-        coords = [()]
-        for d in self.invariant_factors:
-            coords = [c + (x,) for c in coords for x in range(d)]
-        return coords
-
     def __str__(self):
         if self.is_trivial:
             return "0"
@@ -92,7 +86,8 @@ class FiniteAbelianGroup:
 class LinkingForm:
     """Symmetric Q/Z-valued pairing on the chosen invariant-factor generators.
 
-    ``values[i][j]`` is lambda(g_i, g_j) reduced into [0, 1).  While
+    ``values[i][j]`` is lambda(g_i, g_j) reduced into [0, 1); it is
+    killed by the orders d_i and d_j of both generators.  While
     ``sign_fixed`` is False the matrix is the +G^{-1} transport and its
     global sign is still conventional; ``fix_sign`` stamps a choice.
     """
@@ -102,22 +97,19 @@ class LinkingForm:
     sign_fixed: bool = False
 
     def __post_init__(self):
-        k = len(self.group.invariant_factors)
+        orders = self.group.invariant_factors
         vals = tuple(tuple(Fraction(x) % 1 for x in row) for row in self.values)
-        if len(vals) != k or any(len(row) != k for row in vals):
+        if len(vals) != len(orders) or any(len(row) != len(orders) for row in vals):
             raise ValueError("form matrix size does not match the group rank")
-        for i in range(k):
-            for j in range(k):
-                if vals[i][j] != vals[j][i]:
-                    raise ValueError("linking form must be symmetric")
-                lcm = _lcm(self.group.invariant_factors[i],
-                           self.group.invariant_factors[j])
-                if (vals[i][j] * lcm) % 1 != 0:
-                    raise ValueError(
-                        f"lambda(g{i},g{j}) = {vals[i][j]} has denominator not "
-                        f"dividing lcm of the generator orders")
+        if any(vals[i][j] != vals[j][i]
+               for i in range(len(orders)) for j in range(i)):
+            raise ValueError("linking form must be symmetric")
+        scaled = [[x * d for x, d in zip(row, orders)] for row in vals]
+        if any(x.denominator != 1 for row in scaled for x in row):
+            raise ValueError(
+                f"form denominators do not divide the generator orders {orders}")
         object.__setattr__(self, "values", vals)
-        _check_nondegenerate(self)
+        _check_nondegenerate(self.group, [[int(x) for x in row] for row in scaled])
 
     def negated(self):
         return replace(self, values=tuple(tuple((-x) % 1 for x in row)
@@ -128,16 +120,6 @@ class LinkingForm:
         fixed = self if sign == 1 else self.negated()
         return replace(fixed, sign_fixed=True)
 
-    def evaluate(self, x, y):
-        """lambda(x, y) mod 1 for elements given as coefficient tuples."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += xi * yj * self.values[i][j]
-        return total % 1
-
     def self_value(self):
         """lambda(g, g) on the generator of a cyclic group."""
         if not self.group.is_cyclic:
@@ -145,10 +127,6 @@ class LinkingForm:
         if self.group.is_trivial:
             return Fraction(0)
         return self.values[0][0]
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -203,29 +181,26 @@ def linking_form(gd) -> LinkingForm:
     return LinkingForm(group=group, values=values)
 
 
-def _check_nondegenerate(form, max_order=2000):
-    """Exhaustively verify that x -> lambda(x, .) is injective.
+def _check_nondegenerate(group, scaled):
+    """Verify that the adjoint x -> lambda(x, .) is an automorphism.
 
-    Nondegeneracy is a theorem for forms coming from nonsingular Goeritz
-    matrices, so a failure here means an implementation bug; the check is
-    skipped for groups too large to enumerate.
+    In the bases g_i and the dual characters of order d_j the adjoint is
+    the integer matrix B = ``scaled``, B_ij = lambda(g_i, g_j) * d_j.  On
+    the p-primary part it is an isomorphism iff it is onto mod p
+    (Nakayama), i.e. iff the minor of B on the generators whose order p
+    divides is nonzero mod p.  The rule runs at every order; on Z_n with
+    lambda(g,g) = k/n it says gcd(k, n) = 1.  Nondegeneracy is a theorem
+    for forms of nonsingular Goeritz matrices, so a failure here means an
+    implementation bug.
     """
-    factors = form.group.invariant_factors
-    if len(factors) == 1:
-        # cyclic fast path: k/n is nondegenerate iff gcd(k, n) = 1
-        n = factors[0]
-        v = form.values[0][0]
-        if gcd(v.numerator * (n // v.denominator), n) != 1:
-            raise ValueError(f"degenerate linking form {v} on Z{n}")
-        return
-    if form.group.order > max_order:
-        return
-    gens = [tuple(int(i == j) for j in range(len(factors)))
-            for i in range(len(factors))]
-    zero = tuple(0 for _ in factors)
-    for x in form.group.elements():
-        if x != zero and all(form.evaluate(x, g) == 0 for g in gens):
-            raise ValueError(f"degenerate linking form: {x} pairs trivially")
+    orders = group.invariant_factors
+    for p in group.order_factors:
+        first = next(i for i, d in enumerate(orders) if d % p == 0)
+        minor = [row[first:] for row in scaled[first:]]
+        value = minor[0][0] if len(minor) == 1 else exactalg.det(minor)
+        if value % p == 0:
+            raise ValueError(f"degenerate linking form on {group}: its "
+                             f"{p}-primary part pairs trivially with an element")
 
 
 def factorize(n):
@@ -244,7 +219,10 @@ def factorize(n):
 
 def generator_values(form: LinkingForm):
     """Orbit of self-linkings over all generators of a cyclic group:
-    { m^2 * lambda(g,g) mod 1 : gcd(m, N) = 1 }."""
+    { m^2 * lambda(g,g) mod 1 : gcd(m, N) = 1 }.
+
+    O(|H1|); a reference for tests.  ``represents`` and ``square_class``
+    decide the same questions from the factored order."""
     if not form.group.is_cyclic:
         raise ValueError("generator orbit requires a cyclic group")
     if form.group.is_trivial:
@@ -261,15 +239,38 @@ def _numerator(form):
     return v.numerator * (form.group.order // v.denominator)
 
 
+def _unit_square_class(c, factors):
+    """(p, class) for each p^e of n = prod p^e over ``factors``: the
+    Legendre symbol (c/p) of the unit c at odd p, c mod 2^min(e, 3) at 2.
+    Two units differ by a unit square iff their classes agree."""
+    for p, e in factors.items():
+        yield p, (c % 2 ** min(e, 3) if p == 2
+                  else 1 if pow(c, (p - 1) // 2, p) == 1 else -1)
+
+
 def _is_unit_square(c, factors):
     """Whether the unit c is a square mod n = prod p^e over ``factors``."""
-    for p, e in factors.items():
-        if p == 2:
-            if (e == 2 and c % 4 != 1) or (e >= 3 and c % 8 != 1):
-                return False
-        elif pow(c, (p - 1) // 2, p) != 1:
-            return False
-    return True
+    return all(cls == 1 for _p, cls in _unit_square_class(c, factors))
+
+
+def square_class(form: LinkingForm):
+    """Square class {p: class} of k for lambda(g,g) = k/n on Z_n.
+
+    The generator self-linkings m^2 k/n form the coset of k in the units
+    modulo their squares, so this names the whole orbit."""
+    n = form.group.order
+    return dict(_unit_square_class(_numerator(form) % n,
+                                   form.group.order_factors))
+
+
+def represents(form: LinkingForm, c):
+    """Whether some generator of the cyclic H1 = Z_n self-links to c/n.
+
+    With lambda(g,g) = k/n, m^2 k = c has a unit root m iff c is a unit
+    and c*k (= c k^-1 times the square k^2) is a unit square mod n."""
+    n = form.group.order
+    return gcd(c, n) == 1 and _is_unit_square(
+        c * _numerator(form) % n, form.group.order_factors)
 
 
 def _sqrt_mod_prime(c, p):
@@ -341,7 +342,7 @@ def _generator_verdict(form, rule, exhausted):
     k = _numerator(form)
     inverse_k = pow(k, -1, n)
     roots = [_least_sqrt(s * inverse_k % n, factors) for s in (1, -1)
-             if _is_unit_square(s * k % n, factors)]
+             if represents(form, s)]
     if not roots:
         return ObstructionVerdict(OBSTRUCTED, rule, exhausted)
     m = min(roots)
@@ -412,9 +413,10 @@ def klein_discriminant(form: LinkingForm) -> ObstructionVerdict:
 
     The discriminant of the form must be +-1 in F_p*/(F_p*)^2 for the knot
     to bound a punctured Klein bottle [GiL1992, Thm 4]: NotObstructed when
-    disc = det(p * lambda) mod p or -disc is a square, by Euler's criterion
-    (c is a square iff c^((p-1)/2) = 1).  If neither is, -1 = -disc/disc
-    is one, so p = 1 mod 4.  The class is insensitive to the global sign.
+    disc = det(p * lambda) mod p, a unit as the form is nondegenerate, or
+    -disc is a square, by Euler's criterion (c is a square iff
+    c^((p-1)/2) = 1).  If neither is, -1 = -disc/disc is one, so
+    p = 1 mod 4.  The class is insensitive to the global sign.
     """
     rule = "klein-discriminant"
     group, factors = form.group, form.group.invariant_factors
@@ -422,12 +424,8 @@ def klein_discriminant(form: LinkingForm) -> ObstructionVerdict:
         return ObstructionVerdict(
             INAPPLICABLE, rule, f"H1 is {group}, not Zp + Zp for a prime p")
     p = factors[0]
-    scaled = [[form.values[i][j] * p for j in range(2)] for i in range(2)]
-    if any(x % 1 != 0 for row in scaled for x in row):
-        raise ValueError("form denominators exceed p on Z_p + Z_p")
-    disc = int(scaled[0][0] * scaled[1][1] - scaled[0][1] * scaled[1][0]) % p
-    if disc == 0:
-        return ObstructionVerdict(INAPPLICABLE, rule, "degenerate discriminant")
+    (a, b), (_, c) = [[int(x * p) for x in row] for row in form.values]
+    disc = (a * c - b * b) % p
     if _is_unit_square(disc, {p: 1}) or _is_unit_square(-disc % p, {p: 1}):
         return ObstructionVerdict(
             NOT_OBSTRUCTED, rule, f"discriminant {disc} is +-square mod {p}")
@@ -455,10 +453,8 @@ def definiteness_consistency(form: LinkingForm, required_sign) -> ObstructionVer
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 not cyclic and nontrivial")
     if not form.sign_fixed:
         raise ValueError("definiteness consistency needs a sign-fixed form")
-    n, factors = form.group.order, form.group.order_factors
-    k = _numerator(form)
-    plus = _is_unit_square(k % n, factors)
-    minus = _is_unit_square(-k % n, factors)
+    n = form.group.order
+    plus, minus = represents(form, 1), represents(form, -1)
     if not plus and not minus:
         return ObstructionVerdict(
             INAPPLICABLE, rule, f"no generator self-links to +-1/{n}")

@@ -50,10 +50,9 @@ def calibration():
 class FaceSet:
     """Faces of the diagram on the 2-sphere.
 
-    ``faces[k]`` is the cyclic tuple of (edge, side) incidences of face k,
-    where side is +1 when the face walk traverses the edge along its
-    orientation.  ``corners[k]`` lists the quadrants (crossing, slot)
-    swept by the same walk, aligned with ``faces[k]``.
+    ``faces[k]`` is the cyclic tuple of edges bordering face k, in the
+    order its walk meets them.  ``corners[k]`` lists the quadrants
+    (crossing, slot) swept by the same walk, aligned with ``faces[k]``.
     """
 
     n: int
@@ -81,14 +80,6 @@ def faces(pd: PDCode) -> FaceSet:
         for s, edge in enumerate(quad):
             ends.setdefault(edge, []).append((i, s))
 
-    over_dir = over_directions(pd)
-
-    # knot-orientation heads: slot 0 always, plus the incoming over slot
-    incoming_slots = set()
-    for i in range(n):
-        incoming_slots.add((i, 0))
-        incoming_slots.add((i, 1) if over_dir[i] == 1 else (i, 3))
-
     def next_state(state):
         i, s = state
         depart = (i, (s + 1) % 4)
@@ -111,16 +102,10 @@ def faces(pd: PDCode) -> FaceSet:
                 state = next_state(state)
             if state != walk[0]:
                 raise DiagramError("face walk failed to close; inconsistent diagram")
-            corners = tuple(walk)
-            incid = []
-            for (ci, cs) in walk:
-                edge = pd.crossings[ci][cs]
-                # arriving at a knot-orientation head means the walk ran
-                # along the edge's orientation
-                side = 1 if (ci, cs) in incoming_slots else -1
-                incid.append((edge, side))
-            all_faces.append(tuple(incid))
-            all_corners.append(corners)
+            # from a list: tuple() over a generator here made the peak RSS
+            # grow with every pass over a corpus of diagrams
+            all_faces.append(tuple([pd.crossings[ci][cs] for ci, cs in walk]))
+            all_corners.append(tuple(walk))
 
     fs = FaceSet(n=n, faces=tuple(all_faces), corners=tuple(all_corners))
     if len(fs.faces) != n + 2:
@@ -128,7 +113,7 @@ def faces(pd: PDCode) -> FaceSet:
             f"diagram is not planar: traced {len(fs.faces)} faces, expected {n + 2}")
     borders = {}
     for face in fs.faces:
-        for edge, _side in face:
+        for edge in face:
             borders[edge] = borders.get(edge, 0) + 1
     bad = [e for e, k in borders.items() if k != 2]
     if bad or len(borders) != 2 * n:
@@ -176,7 +161,7 @@ def _face_colors(fs: FaceSet, outer):
     adjacency = [set() for _ in range(nfaces)]
     edge_faces = {}
     for k, face in enumerate(fs.faces):
-        for edge, _side in face:
+        for edge in face:
             edge_faces.setdefault(edge, []).append(k)
     for edge, ks in edge_faces.items():
         f1, f2 = ks

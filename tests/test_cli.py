@@ -1,11 +1,16 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
+import csv
 import json
+from fractions import Fraction
 
 import pytest
+from sympy import factorint, legendre_symbol
 
 from conftest import TREFOIL_PD
 from gamma4.cli import main
+from gamma4.knotio import DATASET_COLUMNS, render_pd
+from gamma4.medial import fan_graph, medial_pd
 
 
 def run(capsys, *argv):
@@ -80,7 +85,36 @@ def test_linkform_json(capsys):
     _header, _, payload = out.partition("\n")
     doc = json.loads(payload)
     assert doc["invariant_factors"] == [51]
-    assert "20/51" in doc["generator_orbit"] or "23/51" in doc["generator_orbit"]
+    assert "generator_orbit" not in doc
+    # the published 20/51, up to the global sign
+    assert doc["square_class"] in [
+        {str(p): legendre_symbol(k % p, p) for p in (3, 17)} for k in (20, -20)]
+
+
+def test_linkform_json_reports_square_class_at_large_order(capsys, tmp_path):
+    """A 45-crossing diagram with H1 = Z_623421, 623421 = 3^2 * 113 * 613:
+    the square class stands for an orbit of 51,408 fractions."""
+    pd, _regions = medial_pd(fan_graph((3, 3, 5, 4, 4, 3), (5, 3, 5, 5, 5)))
+    knots = tmp_path / "knots.csv"
+    with knots.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=DATASET_COLUMNS,
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerow({c: "" for c in DATASET_COLUMNS} | {
+            "name": "fan45", "crossings": str(len(pd)), "pd": render_pd(pd),
+            "slice": "false"})
+    code, out, _err = run(capsys, "linkform", "--knot", "fan45",
+                          "--dataset", str(knots), "--json")
+    assert code == 0
+    _header, _, payload = out.partition("\n")
+    doc = json.loads(payload)
+    assert doc["invariant_factors"] == [623421]
+    assert "generator_orbit" not in doc
+    [[value]] = doc["form"]
+    k = Fraction(value).numerator
+    assert sorted(doc["square_class"], key=int) == ["3", "113", "613"]
+    assert doc["square_class"] == {str(p): legendre_symbol(k % p, p)
+                                   for p in factorint(623421)}
 
 
 def test_classify_writes_deterministic_report(capsys, tmp_path):

@@ -3,11 +3,13 @@
 The pairing oracle enumerates coker(G) directly (coset representatives by
 breadth-first search with integral-solvability membership tests) and pairs
 with x^T G^{-1} y, independently of the Smith-form transport in the
-implementation.
+implementation.  The element enumeration of a form's group below is the
+reference for the nondegeneracy rule, which never enumerates.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -23,7 +25,7 @@ from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              definiteness_consistency, factorize,
                              generator_values, homology, klein_discriminant,
                              linking_form, mobius_obstruction_cyclic,
-                             mobius_obstruction_p2q)
+                             mobius_obstruction_p2q, represents, square_class)
 from gamma4.planar import GoeritzData
 
 
@@ -61,6 +63,28 @@ def coker_selfpairings(g):
                 for i in range(n) for j in range(n))
         values.append(v % 1)
     return sorted(values), len(reps)
+
+
+# --- element enumeration as a reference ----------------------------------------
+
+
+def elements(orders):
+    """All elements of Z_d1 + ... + Z_dk as coefficient tuples."""
+    return list(product(*(range(d) for d in orders)))
+
+
+def pairing(values, x, y):
+    """lambda(x, y) mod 1 from the value matrix on the generators."""
+    return sum(xi * yj * values[i][j] for i, xi in enumerate(x)
+               for j, yj in enumerate(y)) % 1
+
+
+def degenerate_by_enumeration(orders, values):
+    """Whether some x != 0 pairs to 0 with every generator."""
+    gens = [tuple(int(i == j) for j in range(len(orders)))
+            for i in range(len(orders))]
+    return any(any(x) and all(pairing(values, x, g) == 0 for g in gens)
+               for x in elements(orders))
 
 
 # --- homology ----------------------------------------------------------------
@@ -119,13 +143,60 @@ def test_linking_form_agrees_with_pairing_oracle():
         oracle_values, order = coker_selfpairings(g)
         assert order == abs(det(g))
         assert order == form.group.order
-        mine = sorted(form.evaluate(x, x) for x in form.group.elements())
+        mine = sorted(pairing(form.values, x, x)
+                      for x in elements(form.group.invariant_factors))
         assert mine == oracle_values, g
 
 
 def test_linking_form_symmetric_and_nondegenerate_guard():
     with pytest.raises(ValueError):
         LinkingForm(group=FiniteAbelianGroup((5,)), values=((Fraction(0),),))
+    with pytest.raises(ValueError):  # not symmetric
+        LinkingForm(group=FiniteAbelianGroup((3, 3)),
+                    values=((Fraction(1, 3), Fraction(1, 3)),
+                            (Fraction(0), Fraction(1, 3))))
+    with pytest.raises(ValueError):  # lambda(3 g0, g1) = 1/3 but 3 g0 = 0
+        LinkingForm(group=FiniteAbelianGroup((3, 9)),
+                    values=((Fraction(1, 3), Fraction(1, 9)),
+                            (Fraction(1, 9), Fraction(1, 9))))
+
+
+def all_value_matrices(orders):
+    """Every symmetric value matrix on the generators: lambda(g_i, g_j) is a
+    multiple of 1/gcd(d_i, d_j)."""
+    cells = [(i, j) for i in range(len(orders)) for j in range(i, len(orders))]
+    ranges = [range(gcd(orders[i], orders[j])) for i, j in cells]
+    for numerators in product(*ranges):
+        values = [[Fraction(0)] * len(orders) for _ in orders]
+        for (i, j), a in zip(cells, numerators):
+            values[i][j] = values[j][i] = Fraction(a, gcd(orders[i], orders[j]))
+        yield values
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (2, 4), (3, 3), (3, 9), (2, 2, 2),
+                                    (2, 6), (3, 6)])
+def test_nondegeneracy_rule_agrees_with_enumeration(orders):
+    group = FiniteAbelianGroup(orders)
+    degenerate = 0
+    for values in all_value_matrices(orders):
+        if degenerate_by_enumeration(orders, values):
+            degenerate += 1
+            with pytest.raises(ValueError, match="degenerate"):
+                LinkingForm(group=group, values=values)
+        else:
+            LinkingForm(group=group, values=values)
+    assert degenerate > 0
+
+
+def test_degenerate_form_above_2000_elements_is_rejected():
+    # on Z50 + Z50, 25*g1 pairs trivially with both generators
+    with pytest.raises(ValueError, match="degenerate"):
+        LinkingForm(group=FiniteAbelianGroup((50, 50)),
+                    values=((Fraction(1, 50), Fraction(0)),
+                            (Fraction(0), Fraction(2, 50))))
+    LinkingForm(group=FiniteAbelianGroup((50, 50)),
+                values=((Fraction(1, 50), Fraction(0)),
+                        (Fraction(0), Fraction(3, 50))))
 
 
 def test_sign_flip_negates_values_but_not_verdicts():
@@ -155,6 +226,25 @@ def test_generator_values_invariant_under_generator_change():
         if gcd(m, n) == 1:
             other = generator_values(cyclic_form(n, (m * m * k) % n))
             assert other == base
+
+
+def test_represents_and_square_class_describe_the_orbit():
+    for n in range(2, 50):
+        forms = [cyclic_form(n, k) for k in range(1, n) if gcd(k, n) == 1]
+        orbits = [generator_values(form) for form in forms]
+        classes = [square_class(form) for form in forms]
+        for form, orbit, cls in zip(forms, orbits, classes):
+            assert [represents(form, c) for c in range(-n, n)] == [
+                Fraction(c, n) % 1 in orbit for c in range(-n, n)], form
+            assert ([other == cls for other in classes]
+                    == [other == orbit for other in orbits]), form
+
+
+def test_square_class_is_legendre_symbols_and_residue_mod_8():
+    form = cyclic_form(2 ** 4 * 3 * 17, 5)
+    assert square_class(form) == {2: 5, 3: -1, 17: -1}
+    assert square_class(cyclic_form(4 * 3, 7)) == {2: 3, 3: 1}
+    assert square_class(cyclic_form(1, 0)) == {}
 
 
 def test_generator_values_needs_cyclic():

@@ -30,7 +30,7 @@ def test_each_edge_borders_two_faces():
         fs = faces(pd)
         seen = {}
         for face in fs.faces:
-            for edge, _side in face:
+            for edge in face:
                 seen[edge] = seen.get(edge, 0) + 1
         assert all(v == 2 for v in seen.values())
         assert len(seen) == pd.edge_count
@@ -64,7 +64,7 @@ def test_coloring_is_proper_and_outer_is_white():
     assert col.colors[col.outer_face] == WHITE
     edge_faces = {}
     for k, face in enumerate(fs.faces):
-        for edge, _side in face:
+        for edge in face:
             edge_faces.setdefault(edge, []).append(k)
     for f1, f2 in edge_faces.values():
         assert col.colors[f1] != col.colors[f2]
