@@ -5,16 +5,24 @@ Everything here is exact: matrices are plain nested lists of Python ints
 anywhere; the downstream obstructions are number-theoretic and a single
 rounding error would silently flip a verdict.
 
-The sizes that actually occur (Goeritz matrices of 11-crossing diagrams)
-are at most about 13x13, so the classical cubic algorithms below are more
-than fast enough and were chosen for auditability rather than speed.
+The kernels compute on integers only.  Rational inputs are first scaled by
+the lcm of their denominators, and a ``Fraction`` is built once per entry
+of a rational result, never inside elimination.  Elimination is
+fraction-free: ``det`` and ``inverse`` divide exactly by the previous
+pivot (Bareiss), so their intermediate entries are minors of the input,
+and ``signature`` divides each trailing block by its content.  Coefficient
+growth stays polynomial at the Goeritz dimensions the pipeline meets
+(tens of rows).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 IntMatrix = list  # list[list[int]], rectangular
-RationalMatrix = list  # list[list[Fraction]], rectangular
 
 
 def xgcd(a, b):
@@ -61,13 +69,29 @@ def is_symmetric(m):
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
 
 
+def _scaled_to_integers(m):
+    """(s, s*m as ints) with s the lcm of the entries' denominators."""
+    scale = lcm(*{x.denominator for row in m for x in row})
+    return scale, [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in m]
+
+
 def mat_mul(a, b):
+    """Exact product.  Integer inputs give ints; if either operand holds a
+    Fraction, every entry is a Fraction, divided once by the operands'
+    common denominators after an integer product."""
     ra, ca = dimensions(a)
     rb, cb = dimensions(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return [[sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)]
-            for i in range(ra)]
+    scale_a, ia = _scaled_to_integers(a)
+    scale_b, ib = _scaled_to_integers(b)
+    cols = list(zip(*ib)) if rb else [()] * cb
+    product = [[sum(map(mul, row, col)) for col in cols] for row in ia]
+    if not any(isinstance(x, Fraction) for m in (a, b) for row in m for x in row):
+        return product
+    scale = scale_a * scale_b
+    return [[Fraction(x, scale) for x in row] for row in product]
 
 
 def mat_transpose(m):
@@ -106,28 +130,35 @@ def det(m):
 
 
 def inverse(m):
-    """Exact rational inverse via Gauss-Jordan over Fraction.
+    """Exact rational inverse by fraction-free (Bareiss) Gauss-Jordan.
+
+    ``[A | I]`` is eliminated over the integers, every other row at every
+    step, dividing exactly by the previous pivot; the left block ends as
+    d*I with d = +-det(A) and the right block as d*A^-1, so entry (i, j)
+    is the single ``Fraction(R_ij, d)``.  Rational input is scaled to
+    integers first.  Every entry of the result is a Fraction.
 
     Raises ValueError on a singular matrix.
     """
     n = require_square(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    scale, a = _scaled_to_integers(m)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise ValueError("singular matrix has no inverse")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        top = rows[col]
+        pivot = top[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+            if r != col:
+                f = rows[r][col]
+                # Sylvester's identity makes every division exact.
+                rows[r] = [(pivot * x - f * y) // prev
+                           for x, y in zip(rows[r], top)]
+        prev = pivot
+    return [[Fraction(scale * x, prev) for x in row[n:]] for row in rows]
 
 
 @dataclass
@@ -251,62 +282,54 @@ def smith_normal_form(m):
     return SNFResult(U=u, D=d, V=v)
 
 
-def is_unimodular(m):
-    try:
-        n = require_square(m)
-    except ValueError:
-        return False
-    _ = n
-    return abs(det(m)) == 1
-
-
 def signature(m):
-    """Signature (#positive - #negative eigenvalues) of a symmetric integer
-    matrix, computed exactly by rational congruence diagonalization.
+    """Signature (#positive - #negative eigenvalues) of a symmetric matrix,
+    computed exactly by integer congruence diagonalization.
 
-    Simultaneous row/column operations preserve the congruence class, so
-    after diagonalization the diagonal sign count is the signature
-    (Sylvester's law of inertia).  When every remaining diagonal pivot is
-    zero, an off-diagonal entry is folded onto the diagonal (row/col
-    addition), which is the 2x2 hyperbolic-block step in disguise.
+    Eliminating the pivot p leaves the Schur complement A22 - a21*a12/p,
+    which is congruent to the trailing block (Sylvester's law of inertia).
+    The integer block p*A22 - a21*a12 is that complement times p, so the
+    running sign flips when p < 0, and the block's content is divided out
+    to keep the entries small.  A zero pivot is swapped with a nonzero
+    diagonal entry; when every remaining diagonal entry is zero, an
+    off-diagonal entry is folded onto the diagonal (row/col addition),
+    which is the 2x2 hyperbolic-block step in disguise.  Rational input is
+    scaled to integers first, which leaves the signature unchanged.
 
     Requires a nonsingular symmetric matrix; 0x0 input has signature 0.
     """
     n = require_square(m)
     if not is_symmetric(m):
         raise ValueError("signature requires a symmetric matrix")
-    if n == 0:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-
-    def add_row_col(src, dst, f=1):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        for row in a:
-            row[dst] += f * row[src]
-
-    pos = neg = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+    _, a = _scaled_to_integers(m)
+    sign = 1  # sign of the factor by which a is the true Schur complement
+    sig = 0
+    while a:
+        if a[0][0] == 0:
+            swap = next((j for j in range(1, len(a)) if a[j][j] != 0), None)
             if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
+                a[0], a[swap] = a[swap], a[0]
                 for row in a:
-                    row[i], row[swap] = row[swap], row[i]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                j = next((j for j in range(1, len(a)) if a[0][j] != 0), None)
                 if j is None:
                     raise ValueError("signature requires a nonsingular matrix")
-                add_row_col(j, i)  # a[i][i] becomes 2*a[i][j] != 0
-        pivot = a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i] != 0:
-                add_row_col(i, r, -a[r][i] / pivot)
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-    sig = pos - neg
-    # Parity cross-check: pos + neg = n for a nonsingular form.
+                # add row/col j to row/col 0: a[0][0] becomes 2*a[0][j] != 0
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+        pivot = a[0][0]
+        sig += 1 if (pivot > 0) == (sign > 0) else -1
+        if pivot < 0:
+            sign = -sign
+        edge = a[0][1:]
+        a = [[pivot * x - r * y for x, y in zip(row[1:], edge)]
+             for r, row in zip(edge, a[1:])]
+        content = reduce(gcd, chain.from_iterable(a), 0)
+        if content > 1:
+            a = [[x // content for x in row] for row in a]
+    # Parity cross-check: n pivots of sign +-1 for a nonsingular form.
     if (sig - n) % 2 != 0:
         raise AssertionError("signature parity violated; elimination bug")
     return sig

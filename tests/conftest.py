@@ -6,13 +6,17 @@ Goeritz/signature machinery independently of anything this package
 computes.
 """
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from gamma4.errors import DiagramError
 from gamma4.knotio import PDCode, over_directions
 from gamma4.linkform import FiniteAbelianGroup, LinkingForm
+from gamma4.medial import PlanarGraph, fan_graph, medial_pd
+from gamma4.planar import goeritz
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gamma4" / "data"
 
@@ -66,6 +70,34 @@ def connect_sum(pd1, pd2):
 
             out.append(tuple(relabel(x, s) for s, x in enumerate((a, b, c, d))))
     return PDCode(tuple(out))
+
+
+def mixed_fan_pd(dim, seed):
+    """Non-alternating knot diagram of Goeritz dimension ``dim``: the medial
+    of a fan with 1..2 crossings from the apex to each path region, single
+    crossings along the path and every crossing sign drawn at random,
+    redrawn until the medial closes into a knot."""
+    rng = random.Random(f"{dim}:{seed}")
+    while True:
+        apex = tuple(rng.randint(1, 2) for _ in range(dim))
+        fan = fan_graph(apex, (1,) * (dim - 1))
+        edges = [(u, v, rng.choice((1, -1))) for u, v, _eta in fan.edges]
+        try:
+            pd, _regions = medial_pd(PlanarGraph(fan.vertex_count, edges,
+                                                 fan.rotations))
+            goeritz(pd)
+        except DiagramError:
+            continue
+        return pd
+
+
+def fan_goeritz_matrices():
+    """Goeritz matrices of dimension 5..16 with H1 = Z5, Z73, Z335, Z55,
+    Z3833, Z35 and (a connected sum) Z5 + Z5."""
+    pds = [mixed_fan_pd(dim, seed)
+           for dim, seed in ((5, 2), (8, 5), (11, 1), (13, 3), (16, 0), (16, 2))]
+    pds.append(connect_sum(mixed_fan_pd(5, 2), mixed_fan_pd(8, 1)))
+    return [goeritz(pd).g for pd in pds]
 
 
 def cyclic_form(n, k, sign_fixed=False):

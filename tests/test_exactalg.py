@@ -2,7 +2,10 @@
 
 Oracles are independent of the implementation paths they check: cofactor
 expansion against Bareiss elimination, Jacobi's leading-minor sign rule
-against congruence diagonalization.
+against congruence diagonalization, sympy's inverse against fraction-free
+Gauss-Jordan.  The integer kernels are also held to the plain ``Fraction``
+algorithms below (Gauss-Jordan inverse, product, rational congruence
+signature): equal values and equal element types.
 """
 
 import random
@@ -11,10 +14,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
-from gamma4.exactalg import (SNFResult, det, identity, inverse, is_unimodular,
-                             mat_mul, mat_transpose, signature,
-                             smith_normal_form)
+from conftest import fan_goeritz_matrices
+from gamma4.exactalg import (SNFResult, det, identity, inverse,
+                             mat_mul, mat_transpose, require_square,
+                             signature, smith_normal_form)
+from gamma4.planar import goeritz
 
 GOERITZ_11N155 = [[3, -1, 0, -1], [-1, 5, -1, 0], [0, -1, 0, 2], [-1, 0, 2, 0]]
 
@@ -45,6 +51,90 @@ def jacobi_signature(m):
         minors.append(mk)
     changes = sum(1 for a, b in zip(minors, minors[1:]) if a * b < 0)
     return n - 2 * changes
+
+
+def is_unimodular(m):
+    try:
+        require_square(m)
+    except ValueError:
+        return False
+    return abs(det(m)) == 1
+
+
+# the plain Fraction algorithms the integer kernels replace -----------------
+
+
+def reference_inverse(m):
+    """Gauss-Jordan over Fraction."""
+    n = require_square(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise ValueError("singular matrix has no inverse")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        inv[col] = [x / pivot for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def reference_mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def reference_signature(m):
+    """Rational congruence diagonalization."""
+    n = require_square(m)
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("signature requires a symmetric matrix")
+    a = [[Fraction(x) for x in row] for row in m]
+
+    def add_row_col(src, dst, f=1):
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        for row in a:
+            row[dst] += f * row[src]
+
+    sig = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if j is None:
+                    raise ValueError("signature requires a nonsingular matrix")
+                add_row_col(j, i)
+        pivot = a[i][i]
+        for r in range(i + 1, n):
+            if a[r][i] != 0:
+                add_row_col(i, r, -a[r][i] / pivot)
+        sig += 1 if pivot > 0 else -1
+    return sig
+
+
+def typed(m):
+    """Entries with their types, so that 1 and Fraction(1) differ."""
+    return [[(type(x), x) for x in row] for row in m]
+
+
+def outcome(f, *args):
+    """f's result, or the type and text of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return ValueError, str(e)
 
 
 def random_unimodular(n, rng, ops=12):
@@ -234,3 +324,135 @@ def test_signature_invariant_under_unimodular_congruence():
         conj = mat_mul(mat_transpose(p), mat_mul(m, p))
         assert signature(conj) == signature(m)
         done += 1
+
+
+# the integer kernels against the Fraction algorithms --------------------------
+
+
+@st.composite
+def square_matrices(draw, symmetric=False):
+    """Integer matrices up to 8x8, zero-heavy so that leading pivots vanish
+    and force swaps (or folds), with determinants of both signs; on request
+    the leading column is zeroed down to a drawn row."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    for i in range(draw(st.integers(0, n - 1))):
+        m[i][0] = 0
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif draw(st.booleans()):
+        m[0] = [-x for x in m[0]]
+    return m
+
+
+@settings(max_examples=250, deadline=None)
+@given(square_matrices(), st.one_of(st.none(), st.integers(1, 12)))
+def test_inverse_matches_fraction_gauss_jordan(m, denominator):
+    """Integer input, or with a denominator the rational m / (d + column)."""
+    singular = det(m) == 0
+    if denominator is not None:
+        m = [[Fraction(x, denominator + i) for i, x in enumerate(row)]
+             for row in m]
+    if singular:
+        assert outcome(inverse, m) == outcome(reference_inverse, m)
+    else:
+        assert typed(inverse(m)) == typed(reference_inverse(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(symmetric=True))
+def test_signature_matches_rational_congruence(m):
+    assert outcome(signature, m) == outcome(reference_signature, m)
+
+
+def matrices(rows, cols, entry):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data())
+def test_mat_mul_matches_fraction_product(rows, inner, cols, data):
+    entry = st.integers(-50, 50)
+    a = data.draw(matrices(rows, inner, entry))
+    b = data.draw(matrices(inner, cols, entry))
+    fa = [[Fraction(x, d) for x, d in zip(row, dens)] for row, dens
+          in zip(a, data.draw(matrices(rows, inner, st.integers(1, 30))))]
+    fb = [[Fraction(x, d) for x, d in zip(row, dens)] for row, dens
+          in zip(b, data.draw(matrices(inner, cols, st.integers(1, 30))))]
+    for left, right in ((a, b), (fa, b), (a, fb), (fa, fb)):
+        assert typed(mat_mul(left, right)) == typed(reference_mat_mul(left, right))
+    assert all(type(x) is int for row in mat_mul(a, b) for x in row)
+
+
+SINGULAR = [
+    [[0]],
+    [[0, 0], [0, 0]],
+    [[1, 1], [1, 1]],
+    [[0, 1], [0, 2]],
+    [[2, 4, 6], [1, 2, 3], [0, 5, -1]],
+    [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+    [[1, 2, 3], [2, 4, 5], [3, 6, 8]],
+]
+
+
+@pytest.mark.parametrize("m", SINGULAR)
+def test_singular_inputs_raise_the_same_error(m):
+    assert det(m) == 0
+    expected = outcome(reference_inverse, m)
+    assert expected[0] is ValueError
+    assert outcome(inverse, m) == expected
+    sym = [[m[min(i, j)][max(i, j)] for j in range(len(m))] for i in range(len(m))]
+    if det(sym) == 0:
+        assert outcome(signature, sym) == outcome(reference_signature, sym)
+        assert outcome(signature, sym)[0] is ValueError
+
+
+def bundled_goeritz_matrices(dataset):
+    return [goeritz(rec.pd).g for rec in dataset if rec.pd is not None]
+
+
+def check_kernels_on_goeritz(g):
+    ginv = inverse(g)
+    assert typed(ginv) == typed(reference_inverse(g))
+    assert signature(g) == reference_signature(g)
+    w = inverse(smith_normal_form(g).U)
+    wt = mat_transpose(w)
+    inner = mat_mul(ginv, w)
+    assert typed(inner) == typed(reference_mat_mul(ginv, w))
+    assert typed(mat_mul(wt, inner)) == typed(reference_mat_mul(wt, inner))
+    assert typed(mat_mul(g, g)) == typed(reference_mat_mul(g, g))
+
+
+def test_kernels_match_references_on_bundled_goeritz_matrices(dataset):
+    matrices = bundled_goeritz_matrices(dataset)
+    assert len(matrices) == 21
+    for g in matrices:
+        check_kernels_on_goeritz(g)
+
+
+def test_kernels_match_references_on_fan_medials_up_to_dimension_16():
+    matrices = fan_goeritz_matrices()
+    assert max(len(g) for g in matrices) == 16
+    for g in matrices:
+        check_kernels_on_goeritz(g)
+
+
+def sympy_inverse(m):
+    inv = Matrix(m).inv()
+    return [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(len(m))]
+            for i in range(len(m))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_sympy(m):
+    if det(m) != 0:
+        assert inverse(m) == sympy_inverse(m)
+
+
+def test_inverse_matches_sympy_on_goeritz_matrices(dataset):
+    for g in bundled_goeritz_matrices(dataset) + fan_goeritz_matrices():
+        assert inverse(g) == sympy_inverse(g)

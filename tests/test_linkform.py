@@ -15,18 +15,18 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import Matrix, factorint
 
-from conftest import cyclic_form
+from conftest import cyclic_form, fan_goeritz_matrices
 from gamma4.errors import DiagramError
-from gamma4.exactalg import det, inverse
+from gamma4.exactalg import det, inverse, smith_normal_form
 from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              NOT_OBSTRUCTED, OBSTRUCTED,
                              definiteness_consistency, factorize,
                              generator_values, homology, klein_discriminant,
                              linking_form, mobius_obstruction_cyclic,
                              mobius_obstruction_p2q, represents, square_class)
-from gamma4.planar import GoeritzData
+from gamma4.planar import GoeritzData, goeritz
 
 
 def gd_of(matrix):
@@ -146,6 +146,25 @@ def test_linking_form_agrees_with_pairing_oracle():
         mine = sorted(pairing(form.values, x, x)
                       for x in elements(form.group.invariant_factors))
         assert mine == oracle_values, g
+
+
+def smith_identity_values(g):
+    """With U*G*V = D, G^-1 = V*D^-1*U, so the form on the columns of U^-1
+    is lambda_ij = ((U^-1)^T V)_ij / d_j mod 1: integers until the last
+    division.  U^-1 comes from sympy."""
+    snf = smith_normal_form(g)
+    p = Matrix(snf.U).inv().T * Matrix(snf.V)
+    d = snf.diagonal
+    keep = [i for i, dj in enumerate(d) if dj > 1]
+    return tuple(tuple(Fraction(int(p[i, j]), d[j]) % 1 for j in keep)
+                 for i in keep)
+
+
+def test_linking_form_is_the_integer_smith_identity(dataset):
+    bundled = [goeritz(rec.pd).g for rec in dataset if rec.pd is not None]
+    assert len(bundled) == 21
+    for g in bundled + fan_goeritz_matrices():
+        assert linking_form(gd_of(g)).values == smith_identity_values(g), g
 
 
 def test_linking_form_symmetric_and_nondegenerate_guard():
