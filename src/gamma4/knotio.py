@@ -92,19 +92,19 @@ def validate_pd(pd):
     if n == 0:
         return
     edges = 2 * n
-    counts = {}
+    counts = [0] * (edges + 1)
     for i, quad in enumerate(pd.crossings):
         for label in quad:
             if not 1 <= label <= edges:
                 raise PDSemanticError(
                     f"edge label {label} out of range 1..{edges}", crossing=i)
-            counts[label] = counts.get(label, 0) + 1
+            counts[label] += 1
     for label in range(1, edges + 1):
-        if counts.get(label, 0) != 2:
+        if counts[label] != 2:
             bad = next((i for i, q in enumerate(pd.crossings) if label in q),
                        None)
             raise PDSemanticError(
-                f"edge label {label} occurs {counts.get(label, 0)} times, expected 2",
+                f"edge label {label} occurs {counts[label]} times, expected 2",
                 crossing=bad)
     for i, (a, b, c, d) in enumerate(pd.crossings):
         if c != _successor(a, edges):
@@ -117,44 +117,38 @@ def over_directions(pd):
     """Per-crossing over-strand direction: +1 if the over-strand runs
     b -> d, -1 if it runs d -> b (labels increase along the orientation).
 
-    When n = 1 both readings satisfy the label-successor test mod 2; the
-    ambiguity is resolved by requiring every edge to leave exactly one
-    crossing and enter exactly one.
+    Each direction is read off the label-successor test.  Only for n = 1
+    do both readings pass it (mod 2); there, and for every n as a check,
+    every edge must leave exactly one crossing and enter exactly one.
     """
     n = len(pd)
     edges = 2 * n
-    candidates = []
-    for i, (_a, b, c, d) in enumerate(pd.crossings):
-        cand = []
+    directions = []
+    for i, (_a, b, _c, d) in enumerate(pd.crossings):
         if d == _successor(b, edges):
-            cand.append(+1)
-        if b == _successor(d, edges):
-            cand.append(-1)
-        if not cand:
+            directions.append(+1)
+        elif b == _successor(d, edges):
+            directions.append(-1)
+        else:
             raise PDSemanticError(
                 f"over-strand pair ({b},{d}) not consecutive along orientation",
                 crossing=i)
-        candidates.append(cand)
-
-    def consistent(choice):
-        heads = {}
-        tails = {}
-        for (a, b, c, d), dirn in zip(pd.crossings, choice):
-            over_in, over_out = (b, d) if dirn == +1 else (d, b)
-            for lbl in (a, over_in):
-                heads[lbl] = heads.get(lbl, 0) + 1
-            for lbl in (c, over_out):
-                tails[lbl] = tails.get(lbl, 0) + 1
-        return (all(heads.get(l, 0) == 1 for l in range(1, edges + 1))
-                and all(tails.get(l, 0) == 1 for l in range(1, edges + 1)))
-
-    # Ambiguity only happens for n = 1, so the product space is tiny.
-    from itertools import product
-    for choice in product(*candidates):
-        if consistent(choice):
-            return list(choice)
+    if _enters_and_leaves_once(pd, directions):
+        return directions
+    if n == 1 and _enters_and_leaves_once(pd, [-directions[0]]):
+        return [-directions[0]]
     raise PDSemanticError(
         "no orientation assignment makes every edge enter and leave exactly one crossing")
+
+
+def _enters_and_leaves_once(pd, directions):
+    heads, tails = [], []
+    for (a, b, c, d), dirn in zip(pd.crossings, directions):
+        heads += (a, b) if dirn == +1 else (a, d)
+        tails += (c, d) if dirn == +1 else (c, b)
+    # 2n heads cover the 2n labels only if each label is hit exactly once
+    labels = set(range(1, 2 * len(pd) + 1))
+    return set(heads) == labels == set(tails)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Per knot with a diagram: Goeritz data, homology of the double branched
 cover, linking form, and the applicable obstruction verdicts.  Cross-checks
-run along the way: |det G| must equal the ingested determinant and the
-Gordon-Litherland signature must equal the ingested signature whenever both
-sides exist.  A failed cross-check is an inconsistency (bad data or a
-miscalibrated convention), not a warning.
+run along the way: the sign of det G must be (-1)^((dim G - sig(G))/2),
+|det G| must equal the ingested determinant and the Gordon-Litherland
+signature the ingested signature whenever both sides exist.  A failed
+cross-check is an inconsistency (bad data, a miscalibrated convention or
+an elimination bug), not a warning.
 
 Certificates are folded in by a fixed-point pass: a certificate whose
 target lives in the dataset uses the target's classified upper bound from
@@ -68,6 +69,13 @@ def analyze_diagram(rec, sign, enable_klein=False):
     gd = planar.goeritz(rec.pd)
     det_g = exactalg.det(gd.g)
     sig = planar.signature_via_goeritz(gd)
+    # G is nonsingular and symmetric, so it has (dim G - sig(G))/2 negative
+    # eigenvalues, and their parity is the sign of det G
+    negative, odd = divmod(len(gd.g) - (sig + gd.mu), 2)
+    if odd or (det_g < 0) != (negative % 2 == 1):
+        raise InconsistencyError(
+            f"{rec.name}: det G = {det_g} but sig(G) = {sig + gd.mu} on "
+            f"dimension {len(gd.g)}; the signature elimination is wrong")
     if rec.determinant is not None and abs(det_g) != rec.determinant:
         raise InconsistencyError(
             f"{rec.name}: |det G| = {abs(det_g)} but the table says "

@@ -1,10 +1,13 @@
 """Faces, checkerboard colorings, and Goeritz matrices of planar diagrams.
 
 The diagram is a 4-valent plane graph given by its PD code.  Slots of a
-crossing ``X[a,b,c,d]`` are numbered 0..3 counterclockwise, so the corner
-("quadrant") between slots s and s+1 is swept when a face walk arrives at
-slot s and leaves at slot s+1.  Faces are exactly the orbits of that
-walk rule, and a realizable diagram of n crossings has n + 2 of them
+crossing ``X[a,b,c,d]`` are numbered 0..3 counterclockwise and flattened:
+index ``4*i + s`` is slot s of crossing i and also the corner ("quadrant")
+between its slots s and s+1, and ``partner[4*i + s]`` is the other end of
+the edge labelled there.  A face walk arriving at slot s sweeps that
+corner and leaves along slot s+1, so it arrives next at
+``partner[4*i + (s+1) % 4]``.  Faces are exactly the orbits of that walk
+rule, and a realizable diagram of n crossings has n + 2 of them
 (V - E + F = 2 with V = n, E = 2n).
 
 With a coloring fixed (white on the unbounded face), every crossing sees
@@ -51,21 +54,25 @@ class FaceSet:
     """Faces of the diagram on the 2-sphere.
 
     ``faces[k]`` is the cyclic tuple of edges bordering face k, in the
-    order its walk meets them.  ``corners[k]`` lists the quadrants
-    (crossing, slot) swept by the same walk, aligned with ``faces[k]``.
+    order its walk meets them.  ``walks[k]`` lists the corners swept by
+    the same walk as slots ``4*i + s``, aligned with ``faces[k]``, and
+    ``slot_face[4*i + s]`` is the face holding corner (i, s).
     """
 
     n: int
     faces: tuple
-    corners: tuple
+    walks: tuple
+    slot_face: tuple
+
+    @property
+    def corners(self):
+        """``corners[k]`` lists the quadrants (crossing, slot) of face k,
+        aligned with ``faces[k]``."""
+        return tuple([tuple([divmod(q, 4) for q in walk]) for walk in self.walks])
 
     def quadrant_face(self):
         """Map (crossing, slot) -> face index."""
-        lookup = {}
-        for k, quads in enumerate(self.corners):
-            for quad in quads:
-                lookup[quad] = k
-        return lookup
+        return {divmod(q, 4): k for q, k in enumerate(self.slot_face)}
 
 
 def faces(pd: PDCode) -> FaceSet:
@@ -74,51 +81,44 @@ def faces(pd: PDCode) -> FaceSet:
     if n == 0:
         raise DiagramError("crossingless diagram has no crossings to trace; "
                            "the unknot is special-cased by goeritz()")
-    # ends[edge] = list of (crossing, slot) occurrences (exactly two)
-    ends = {}
-    for i, quad in enumerate(pd.crossings):
-        for s, edge in enumerate(quad):
-            ends.setdefault(edge, []).append((i, s))
+    if set(map(len, pd.crossings)) != {4}:
+        raise DiagramError("every crossing needs exactly four slots")
+    labels = [label for quad in pd.crossings for label in quad]
+    partner = [-1] * (4 * n)
+    first = {}
+    for slot, label in enumerate(labels):
+        other = first.setdefault(label, slot)
+        if other != slot and partner[other] < 0:
+            partner[other] = slot
+            partner[slot] = other
+    if -1 in partner:
+        bad = sorted({labels[q] for q, p in enumerate(partner) if p < 0})
+        raise DiagramError(f"edges {bad} do not border exactly two faces")
 
-    def next_state(state):
-        i, s = state
-        depart = (i, (s + 1) % 4)
-        edge = pd.crossings[i][(s + 1) % 4]
-        first, second = ends[edge]
-        return second if first == depart else first
-
-    seen = set()
+    slot_face = [-1] * (4 * n)
+    walks = []
     all_faces = []
-    all_corners = []
-    for i in range(n):
-        for s in range(4):
-            if (i, s) in seen:
-                continue
-            walk = []
-            state = (i, s)
-            while state not in seen:
-                seen.add(state)
-                walk.append(state)
-                state = next_state(state)
-            if state != walk[0]:
-                raise DiagramError("face walk failed to close; inconsistent diagram")
-            # from a list: tuple() over a generator here made the peak RSS
-            # grow with every pass over a corpus of diagrams
-            all_faces.append(tuple([pd.crossings[ci][cs] for ci, cs in walk]))
-            all_corners.append(tuple(walk))
-
-    fs = FaceSet(n=n, faces=tuple(all_faces), corners=tuple(all_corners))
-    if len(fs.faces) != n + 2:
+    for start in range(4 * n):
+        if slot_face[start] >= 0:
+            continue
+        k = len(walks)
+        walk = []
+        slot = start
+        while slot_face[slot] < 0:
+            slot_face[slot] = k
+            walk.append(slot)
+            slot = partner[slot + 1 if slot & 3 != 3 else slot - 3]
+        if slot != start:
+            raise DiagramError("face walk failed to close; inconsistent diagram")
+        walks.append(tuple(walk))
+        # from a list: tuple() over a generator here made the peak RSS
+        # grow with every pass over a corpus of diagrams
+        all_faces.append(tuple([labels[q] for q in walk]))
+    if len(walks) != n + 2:
         raise DiagramError(
-            f"diagram is not planar: traced {len(fs.faces)} faces, expected {n + 2}")
-    borders = {}
-    for face in fs.faces:
-        for edge in face:
-            borders[edge] = borders.get(edge, 0) + 1
-    bad = [e for e, k in borders.items() if k != 2]
-    if bad or len(borders) != 2 * n:
-        raise DiagramError(f"edges {sorted(bad)} do not border exactly two faces")
-    return fs
+            f"diagram is not planar: traced {len(walks)} faces, expected {n + 2}")
+    return FaceSet(n=n, faces=tuple(all_faces), walks=tuple(walks),
+                   slot_face=tuple(slot_face))
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,8 @@ def default_outer_face(fs: FaceSet) -> int:
 
 
 def _largest_face(fs, candidates):
-    return max(candidates, key=lambda k: (len(fs.faces[k]), -k))
+    # max keeps the first of equal keys, and candidates ascend
+    return max(candidates, key=lambda k: len(fs.walks[k]))
 
 
 class _NugatoryCrossing(DiagramError):
@@ -156,34 +157,28 @@ class _NugatoryCrossing(DiagramError):
 
 
 def _face_colors(fs: FaceSet, outer):
-    """Two-color the faces, ``outer`` white."""
-    nfaces = len(fs.faces)
-    adjacency = [set() for _ in range(nfaces)]
-    edge_faces = {}
-    for k, face in enumerate(fs.faces):
-        for edge in face:
-            edge_faces.setdefault(edge, []).append(k)
-    for edge, ks in edge_faces.items():
-        f1, f2 = ks
-        if f1 == f2:
-            raise DiagramError(f"edge {edge} borders the same face twice; "
-                               "cannot checkerboard-color")
-        adjacency[f1].add(f2)
-        adjacency[f2].add(f1)
-
-    colors = [None] * nfaces
+    """Two-color the faces, ``outer`` white.  The edge a walk arrives
+    along at corner ``4*i + s`` separates its face from the face of corner
+    ``4*i + (s-1) % 4``, so a face's walk lists its neighbors."""
+    slot_face = fs.slot_face
+    colors = [None] * len(fs.faces)
     colors[outer] = WHITE
     stack = [outer]
     while stack:
         k = stack.pop()
-        for nb in adjacency[k]:
-            want = BLACK if colors[k] == WHITE else WHITE
+        want = BLACK if colors[k] == WHITE else WHITE
+        for q in fs.walks[k]:
+            nb = slot_face[q - 1 if q & 3 else q + 3]
             if colors[nb] is None:
                 colors[nb] = want
                 stack.append(nb)
             elif colors[nb] != want:
+                if nb == k:
+                    edge = fs.faces[k][fs.walks[k].index(q)]
+                    raise DiagramError(f"edge {edge} borders the same face "
+                                       "twice; cannot checkerboard-color")
                 raise DiagramError("face adjacency graph is not bipartite")
-    if any(c is None for c in colors):
+    if None in colors:
         raise DiagramError("disconnected face structure")
     return colors
 
@@ -205,23 +200,22 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
     white_faces = [outer] + [k for k in range(nfaces) if colors[k] == WHITE and k != outer]
     white_index = {k: i for i, k in enumerate(white_faces)}
 
-    quad_face = fs.quadrant_face()
     over_dir = over_directions(pd)
     crossing_white = []
     etas = []
     types = []
-    for c in range(fs.n):
-        qf = [quad_face[(c, s)] for s in range(4)]
-        if colors[qf[0]] != colors[qf[2]] or colors[qf[1]] != colors[qf[3]] \
-                or colors[qf[0]] == colors[qf[1]]:
+    corner_faces = iter(fs.slot_face)
+    for c, (f0, f1, f2, f3) in enumerate(zip(*[corner_faces] * 4)):
+        c0, c1 = colors[f0], colors[f1]
+        if colors[f2] != c0 or colors[f3] != c1 or c0 == c1:
             raise DiagramError("quadrant colors do not alternate", crossing=c)
-        white_is_13 = colors[qf[1]] == WHITE
-        pair = (qf[1], qf[3]) if white_is_13 else (qf[0], qf[2])
-        if pair[0] == pair[1]:
+        white_is_13 = c1 == WHITE
+        w1, w2 = (f1, f3) if white_is_13 else (f0, f2)
+        if w1 == w2:
             raise _NugatoryCrossing(
                 "nugatory crossing: white quadrants share a face", crossing=c)
-        crossing_white.append((white_index[pair[0]], white_index[pair[1]]))
-        etas.append(ETA_SIGN * (1 if white_is_13 else -1))
+        crossing_white.append((white_index[w1], white_index[w2]))
+        etas.append(ETA_SIGN if white_is_13 else -ETA_SIGN)
         # both strands run white-to-white; they do so in the same rotational
         # sense exactly when the over-strand runs d->b for the {1,3} white
         # pair, or b->d for the {0,2} pair
@@ -272,13 +266,15 @@ def goeritz(pd: PDCode, outer=None) -> GoeritzData:
         col = checkerboard(pd, fs, outer=other)
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]
-    for c, (i, j) in enumerate(col.crossing_white):
-        gfull[i][j] -= col.eta[c]
-        gfull[j][i] -= col.eta[c]
-    for i in range(m):
-        gfull[i][i] = -sum(gfull[i][k] for k in range(m) if k != i)
-    g = [[gfull[i][j] for j in range(1, m)] for i in range(1, m)]
-    mu = sum(col.eta[c] for c in range(fs.n) if col.types[c] == 2)
+    # nugatory crossings were rejected, so each crossing joins two distinct
+    # regions and the zero row sums put its eta on both diagonal entries
+    for (i, j), eta in zip(col.crossing_white, col.eta):
+        gfull[i][j] -= eta
+        gfull[j][i] -= eta
+        gfull[i][i] += eta
+        gfull[j][j] += eta
+    g = [row[1:] for row in gfull[1:]]
+    mu = sum(eta for eta, kind in zip(col.eta, col.types) if kind == 2)
     return GoeritzData(gfull=gfull, g=g, mu=mu)
 
 

@@ -181,6 +181,36 @@ def test_det_rejects_nonsquare():
         det([[1, 2, 3], [4, 5, 6]])
 
 
+def test_det_of_rational_input_is_a_fraction():
+    assert det([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
+    assert type(det([[Fraction(4, 2)]])) is Fraction
+    assert type(det([[2, 1], [1, 1]])) is int
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square rational matrices up to 5x5; about half of them are made
+    singular by replacing the last row with a rational combination of the
+    others (or with zeros at n = 1)."""
+    n = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        m[-1] = [sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
+                 for j in range(n)]
+    return m
+
+
+@given(rational_matrices())
+def test_det_matches_sympy_on_rational_matrices(m):
+    expected = Matrix(m).det()
+    got = det(m)
+    assert type(got) is Fraction
+    assert got == Fraction(int(expected.p), int(expected.q))
+
+
 # inverses ---------------------------------------------------------------
 
 

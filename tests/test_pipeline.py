@@ -1,8 +1,10 @@
 """Pipeline orchestration: cross-checks, fixed points, sign calibration."""
 
 import csv
+import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -41,6 +43,19 @@ def test_wrong_signature_is_an_inconsistency(knots_csv, certificates_csv, tmp_pa
     with pytest.raises(InconsistencyError) as err:
         pipeline.run_classification(bad, certificates_csv)
     assert "11n155" in str(err.value) and "signature" in str(err.value)
+
+
+def test_signature_off_by_two_contradicts_the_determinant_sign(
+        dataset_by_name, monkeypatch):
+    # no ingested signature or determinant: only det G can catch it
+    rec = replace(dataset_by_name["11n155"], signature=None, determinant=None)
+    pipeline.analyze_diagram(rec, 1)
+    from gamma4 import exactalg
+    original = exactalg.signature
+    monkeypatch.setattr(exactalg, "signature", lambda m: original(m) + 2)
+    with pytest.raises(InconsistencyError) as err:
+        pipeline.analyze_diagram(rec, 1)
+    assert "11n155" in str(err.value) and "det G" in str(err.value)
 
 
 def test_wrong_determinant_is_an_inconsistency(knots_csv, certificates_csv, tmp_path):
@@ -225,3 +240,17 @@ def test_factorize_runs_at_most_once_per_analysis(dataset, monkeypatch):
             calls.clear()
             pipeline.analyze_diagram(rec, 1, enable_klein=True)
             assert len(calls) <= 1, (rec.name, calls)
+
+
+def knots_digest(report_text):
+    """sha256 of the report's knots section, re-serialized canonically
+    (the metadata holds checkout paths, so it is left out)."""
+    knots = json.loads(report_text)["knots"]
+    return hashlib.sha256(
+        json.dumps(knots, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def test_bundled_report_knots_digest(classification):
+    report = pipeline.report_json(*classification)
+    assert knots_digest(report) == (
+        "7e2a4a5ce00b6317714d2851536c441f4be778342fda90c2fb39fca86f1b82b5")

@@ -1,0 +1,156 @@
+"""The slot-array front end (faces, checkerboard coloring, Goeritz matrix,
+over-strand directions) against the dict-based one it replaced, kept in
+``planar_reference``: equal faces, corners, colorings and Goeritz data,
+and the same exception class on every error path."""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import planar_reference as ref
+from conftest import connect_sum, mixed_fan_pd
+from gamma4 import planar
+from gamma4.errors import DiagramError, PDSemanticError
+from gamma4.knotio import PDCode, over_directions, parse_pd
+from gamma4.medial import PlanarGraph, fan_graph, medial_pd
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of a call, or the class of the exception it raised."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except Exception as exc:  # compared by class below
+        return "raised", type(exc)
+
+
+def face_data(fs):
+    return fs.n, fs.faces, fs.corners, fs.quadrant_face()
+
+
+def assert_front_ends_agree(pd):
+    """faces, checkerboard at the default and at every outer face, goeritz
+    the same way, and over_directions: equal values or exception classes."""
+    assert outcome(over_directions, pd) == outcome(ref.over_directions, pd)
+    got, want = outcome(planar.faces, pd), outcome(ref.faces, pd)
+    if want[0] == "raised":
+        assert got == want
+        return
+    fs, fs_ref = got[1], want[1]
+    assert face_data(fs) == face_data(fs_ref)
+    assert planar.default_outer_face(fs) == ref.default_outer_face(fs_ref)
+    for outer in [None, *range(len(fs_ref.faces))]:
+        assert (outcome(planar.checkerboard, pd, fs, outer=outer)
+                == outcome(ref.checkerboard, pd, fs_ref, outer=outer)), outer
+        assert (outcome(planar.goeritz, pd, outer=outer)
+                == outcome(ref.goeritz, pd, outer=outer)), outer
+
+
+def test_bundled_diagrams_at_every_outer_face(dataset):
+    diagrams = [rec.pd for rec in dataset if rec.pd is not None]
+    assert len(diagrams) == 21
+    for pd in diagrams:
+        assert_front_ends_agree(pd)
+
+
+def test_mixed_sign_fan_medials_at_every_outer_face():
+    pds = [mixed_fan_pd(dim, seed)
+           for dim, seed in ((5, 2), (8, 5), (11, 1), (13, 3), (16, 0), (16, 2))]
+    pds.append(connect_sum(mixed_fan_pd(5, 2), mixed_fan_pd(8, 1)))
+    for pd in pds:
+        assert_front_ends_agree(pd)
+
+
+@st.composite
+def fan_medials(draw):
+    """Medials of fans with 0..3 apex and 1..3 path edges per region and
+    a sign drawn for every edge; two-component medials are skipped."""
+    k = draw(st.integers(1, 6))
+    apex = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    assume(sum(apex) > 0)
+    path = draw(st.lists(st.integers(1, 3), min_size=k - 1, max_size=k - 1))
+    fan = fan_graph(apex, path)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(fan.edges),
+                          max_size=len(fan.edges)))
+    edges = [(u, v, eta) for (u, v, _eta), eta in zip(fan.edges, signs)]
+    try:
+        pd, _regions = medial_pd(PlanarGraph(fan.vertex_count, edges,
+                                             fan.rotations))
+    except DiagramError:
+        assume(False)
+    return pd
+
+
+@settings(max_examples=60, deadline=None)
+@given(fan_medials())
+def test_fan_medials_property(pd):
+    assert_front_ends_agree(pd)
+
+
+def test_random_label_structures():
+    """Every label twice, slots shuffled at random: most codes are
+    non-planar or fail the coloring or the orientation checks, so this
+    walks every error path of both front ends."""
+    rng = random.Random(314159)
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        labels = [label for label in range(1, 2 * n + 1) for _ in (0, 1)]
+        rng.shuffle(labels)
+        assert_front_ends_agree(
+            PDCode(tuple(tuple(labels[4 * i:4 * i + 4]) for i in range(n))))
+
+
+@pytest.mark.parametrize("crossings, where, reason, new_reason", [
+    # passes the label checks but closes up only on a genus-1 surface
+    (((3, 2, 4, 1), (2, 5, 3, 6), (6, 5, 1, 4)), "faces", "not planar", None),
+    (((1, 2, 1, 1, 2),), "faces", "failed to close", "four slots"),
+    (((4, 4, 1, 1), (3, 2, 3, 2)), "checkerboard", "same face twice", None),
+    # a planar and a genus-1 component: n + 2 faces in all
+    (((9, 10, 2, 3), (6, 8, 8, 6), (9, 7, 4, 1), (2, 3, 1, 5), (10, 5, 4, 7)),
+     "checkerboard", "disconnected", None),
+    (((8, 10, 7, 5), (9, 10, 2, 9), (5, 8, 6, 1), (3, 4, 4, 3), (2, 7, 6, 1)),
+     "checkerboard", "not bipartite", None),
+    # unique over-strand readings, every head/tail count wrong
+    (((1, 3, 2, 4), (3, 1, 4, 2)), "over_directions", "enter and leave", None),
+])
+def test_error_paths_raise_the_same_class(crossings, where, reason, new_reason):
+    pd = PDCode(crossings)
+    for front_end, why in ((ref, reason), (planar, new_reason or reason)):
+        stage = {"faces": front_end.faces,
+                 "checkerboard": lambda pd: front_end.checkerboard(
+                     pd, front_end.faces(pd)),
+                 "over_directions": (ref.over_directions if front_end is ref
+                                     else over_directions)}[where]
+        with pytest.raises(Exception) as err:
+            stage(pd)
+        assert why in str(err.value)
+    assert outcome(planar.goeritz, pd) == outcome(ref.goeritz, pd) \
+        == ("raised", type(err.value))
+    assert_front_ends_agree(pd)
+
+
+def test_orientation_needs_every_tail_once():
+    # every head count is right; edge 1 leaves three crossings
+    pd = PDCode(((1, 1, 1, 4), (2, 3, 1, 4)))
+    assert outcome(over_directions, pd) == outcome(ref.over_directions, pd) \
+        == ("raised", PDSemanticError)
+
+
+@pytest.mark.parametrize("kink", ["PD[X[1,2,2,1]]", "PD[X[1,1,2,2]]"])
+def test_one_crossing_kinks(kink):
+    pd = parse_pd(kink)
+    assert_front_ends_agree(pd)
+    outer = planar.default_outer_face(planar.faces(pd))
+    assert (outcome(planar.goeritz, pd, outer=outer)
+            == outcome(ref.goeritz, pd, outer=outer)
+            == ("raised", planar._NugatoryCrossing))
+    assert planar.goeritz(pd) == ref.goeritz(pd)
+
+
+@pytest.mark.parametrize("crossings", [((1, 1, 1, 2),), ((1, 1, 1, 1), (2, 2, 3, 4)),
+                                       ((1, 2, 2),)])
+def test_malformed_label_structures_are_diagram_errors(crossings):
+    # the dict-based walk raised ValueError or IndexError on these
+    with pytest.raises(DiagramError):
+        planar.faces(PDCode(crossings))
