@@ -10,9 +10,11 @@ the lcm of their denominators, and a ``Fraction`` is built once per entry
 of a rational result, never inside elimination.  Elimination is
 fraction-free: ``det`` and ``inverse`` divide exactly by the previous
 pivot (Bareiss), so their intermediate entries are minors of the input,
-and ``signature`` divides each trailing block by its content.  Coefficient
-growth stays polynomial at the Goeritz dimensions the pipeline meets
-(tens of rows).
+and ``signature`` divides each trailing block by its content.
+``smith_normal_form`` eliminates on one augmented matrix holding U beside
+D and V below it, so each row or column operation is written once and
+carries its transform along.  Coefficient growth stays polynomial at the
+Goeritz dimensions the pipeline meets (tens of rows).
 """
 
 from dataclasses import dataclass
@@ -186,105 +188,82 @@ class SNFResult:
 
 
 def smith_normal_form(m):
-    """Smith normal form with unimodular transforms.
+    """Smith normal form with unimodular transforms: U*m*V = D.
 
-    Row and column operations are mirrored into U and V so that
-    U*m*V = D exactly.  Pivots are chosen by smallest nonzero absolute
-    value, which keeps coefficient growth tame at the sizes we meet.
+    The elimination runs on one augmented integer matrix.  Its first
+    ``rows`` rows are ``D_i || U_i`` and its last ``cols`` rows are V, so a
+    row operation on a top row (reduction, swap, negation, the 2x2 xgcd
+    step) carries U along with D, and a column operation, applied to the
+    entries < cols of every row, carries V; U, D and V are sliced out at
+    the end.  Pivots are chosen by smallest nonzero absolute value, which
+    keeps coefficient growth tame at the sizes we meet.
     """
     rows, cols = dimensions(m)
-    d = copy_matrix(m)
-    u = identity(rows)
-    v = identity(cols)
-
-    def row_op(i1, i2, q):
-        # row i2 -= q * row i1
-        d[i2] = [x - q * y for x, y in zip(d[i2], d[i1])]
-        u[i2] = [x - q * y for x, y in zip(u[i2], u[i1])]
+    a = [list(row) + unit for row, unit in zip(m, identity(rows))] + identity(cols)
 
     def col_op(j1, j2, q):
-        for row in d:
+        # col j2 -= q * col j1, in D and V alike
+        for row in a:
             row[j2] -= q * row[j1]
-        for row in v:
-            row[j2] -= q * row[j1]
-
-    def row_swap(i1, i2):
-        d[i1], d[i2] = d[i2], d[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def col_swap(j1, j2):
-        for row in d:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def generalized_row_op(i1, i2, x, y, z, w):
-        # (row i1, row i2) <- (x*row i1 + y*row i2, z*row i1 + w*row i2);
-        # unimodular as long as x*w - y*z = +-1.
-        d[i1], d[i2] = ([x * p + y * q for p, q in zip(d[i1], d[i2])],
-                        [z * p + w * q for p, q in zip(d[i1], d[i2])])
-        u[i1], u[i2] = ([x * p + y * q for p, q in zip(u[i1], u[i2])],
-                        [z * p + w * q for p, q in zip(u[i1], u[i2])])
 
     def smallest_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+        # the first entry of least nonzero |value| in row-major order
+        best = min(((abs(x), i, j) for i in range(t, rows)
+                    for j, x in enumerate(a[i][t:cols], t) if x), default=None)
+        return best[1:] if best else None
 
+    # Re-selecting the globally smallest entry as pivot on every pass keeps
+    # coefficient growth tame; leftover division remainders feed the next
+    # pass instead of being chased with swaps, which is what makes the
+    # naive algorithm blow up.  The pivot column is done once a pass leaves
+    # no remainder.
     t = 0
-    while t < min(rows, cols):
-        if smallest_pivot(t) is None:
-            break
-        # Re-selecting the globally smallest entry as pivot on every pass
-        # keeps coefficient growth tame; leftover division remainders feed
-        # the next pass instead of being chased with swaps, which is what
-        # makes the naive algorithm blow up.
-        while True:
-            i0, j0 = smallest_pivot(t)
-            row_swap(t, i0)
-            col_swap(t, j0)
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    row_op(t, i, d[i][t] // d[t][t])
-                    dirty = dirty or d[i][t] != 0
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    col_op(t, j, d[t][j] // d[t][t])
-                    dirty = dirty or d[t][j] != 0
-            if not dirty:
-                break
-        t += 1
+    while t < min(rows, cols) and (at := smallest_pivot(t)):
+        i0, j0 = at
+        a[t], a[i0] = a[i0], a[t]
+        for row in a:
+            row[t], row[j0] = row[j0], row[t]
+        top = a[t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t] != 0:
+                q = a[i][t] // top[t]
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, cols):
+            if top[j] != 0:
+                col_op(t, j, top[j] // top[t])
+                dirty = dirty or top[j] != 0
+        if not dirty:
+            t += 1
 
     rank = t
     for i in range(rank):
-        if d[i][i] < 0:
-            row_negate(i)
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
 
     # Enforce the divisibility chain d1 | d2 | ... by replacing an offending
-    # adjacent pair (a, b) with (gcd, lcm); re-scan until stable.
+    # adjacent pair (p, q) with (gcd, lcm); re-scan until stable.
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if b % a != 0:
+            p, q = a[i][i], a[i + 1][i + 1]
+            if q % p != 0:
                 changed = True
-                col_op(i + 1, i, -1)  # col i += col i+1: block [[a,0],[b,b]]
-                g, x, y = xgcd(a, b)
-                generalized_row_op(i, i + 1, x, y, -(b // g), a // g)
-                # block is now [[g, y*b], [0, a*b/g]]; y*b is divisible by g
-                col_op(i, i + 1, d[i][i + 1] // g)
-                if d[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-    return SNFResult(U=u, D=d, V=v)
+                col_op(i + 1, i, -1)  # col i += col i+1: block [[p,0],[q,q]]
+                g, x, y = xgcd(p, q)
+                # rows (i, i+1) <- (x*i + y*(i+1), -(q/g)*i + (p/g)*(i+1)),
+                # a determinant-1 step
+                a[i], a[i + 1] = ([x * r + y * s for r, s in zip(a[i], a[i + 1])],
+                                  [-(q // g) * r + (p // g) * s
+                                   for r, s in zip(a[i], a[i + 1])])
+                # block is now [[g, y*q], [0, p*q/g]], both diagonal entries
+                # positive; y*q is divisible by g
+                col_op(i, i + 1, a[i][i + 1] // g)
+    upper = a[:rows]
+    return SNFResult(U=[row[cols:] for row in upper],
+                     D=[row[:cols] for row in upper], V=a[rows:])
 
 
 def signature(m):

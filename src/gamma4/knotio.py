@@ -237,51 +237,51 @@ def _parse_bool(cell, what):
     raise ValueError(f"bad boolean {what}: {cell!r}")
 
 
-def load_dataset(path):
-    """Load ``knots.csv`` and return the records sorted by table order.
-
-    Rows violating the record invariants are collected and reported
-    together in a single :class:`DataError` with their row numbers.
-    """
+def _load_rows(path, columns, from_row):
+    """Parse each data row of a CSV with the mandatory ``columns`` by
+    ``from_row``, in table order.  Missing trailing cells read as empty.
+    Rejected rows are collected and reported together in a single
+    :class:`DataError` with their row numbers."""
     path = Path(path)
-    records = []
+    items = []
     failures = []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file, header required")
-        missing = [c for c in DATASET_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in columns if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing mandatory columns {missing}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                records.append(_record_from_row(row))
+                items.append(from_row(row))
             except (ValueError, PDSyntaxError, PDSemanticError) as exc:
                 failures.append((lineno, str(exc)))
-                continue
-            problems = records[-1].check()
-            if problems:
-                records.pop()
-                failures.append((lineno, "; ".join(problems)))
     if failures:
         listing = "; ".join(f"row {ln}: {msg}" for ln, msg in failures)
         raise DataError(f"{path}: rejected rows: {listing}",
                         rows=[ln for ln, _ in failures])
-    return records
+    return items
+
+
+def load_dataset(path):
+    """Load ``knots.csv`` and return the records in table order; rows
+    violating the record invariants are rejected with their row numbers."""
+    return _load_rows(path, DATASET_COLUMNS, _record_from_row)
 
 
 def _record_from_row(row):
     def opt(col, allow_sign=True):
-        cell = (row.get(col) or "").strip()
+        cell = row[col].strip()
         if cell == "":
             return None
         return _parse_int(cell, col, allow_sign)
 
-    name = (row.get("name") or "").strip()
+    name = row["name"].strip()
     if not name:
         raise ValueError("empty knot name")
-    pd_cell = (row.get("pd") or "").strip()
-    return KnotRecord(
+    pd_cell = row["pd"].strip()
+    record = KnotRecord(
         name=name,
         crossings=_parse_int(row["crossings"], "crossings", allow_sign=False),
         pd=parse_pd(pd_cell) if pd_cell else None,
@@ -292,10 +292,14 @@ def _record_from_row(row):
         us_lo=opt("us_lo"), us_hi=opt("us_hi"),
         c4_lo=opt("c4_lo"), c4_hi=opt("c4_hi"),
         crosscap_hi=opt("crosscap_hi"),
-        slice=_parse_bool(row.get("slice") or "", "slice"),
+        slice=_parse_bool(row["slice"], "slice"),
         determinant=opt("determinant"),
         definiteness=opt("definiteness"),
     )
+    problems = record.check()
+    if problems:
+        raise ValueError("; ".join(problems))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +331,18 @@ CERTIFICATE_COLUMNS = ["source", "h", "target", "target_gamma4", "figure_ref"]
 def load_certificates(path):
     """Load ``certificates.csv``; certificates with h outside {-1,0,1} or a
     target_gamma4 outside {1, slice} are rejected with their row numbers."""
-    path = Path(path)
-    certs = []
-    failures = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, header required")
-        missing = [c for c in CERTIFICATE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing mandatory columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                certs.append(_certificate_from_row(row))
-            except ValueError as exc:
-                failures.append((lineno, str(exc)))
-    if failures:
-        listing = "; ".join(f"row {ln}: {msg}" for ln, msg in failures)
-        raise DataError(f"{path}: rejected rows: {listing}",
-                        rows=[ln for ln, _ in failures])
-    return certs
+    return _load_rows(path, CERTIFICATE_COLUMNS, _certificate_from_row)
 
 
 def _certificate_from_row(row):
-    source = (row.get("source") or "").strip()
-    target = (row.get("target") or "").strip()
+    source = row["source"].strip()
+    target = row["target"].strip()
     if not source:
         raise ValueError("empty source name")
-    h = _parse_int(row.get("h") or "", "h")
+    h = _parse_int(row["h"], "h")
     if h not in (-1, 0, 1):
         raise ValueError(f"band twist h={h} not in {{-1,0,1}}")
-    tg_cell = (row.get("target_gamma4") or "").strip().lower()
+    tg_cell = row["target_gamma4"].strip().lower()
     if tg_cell == SLICE:
         tg = SLICE
     else:
@@ -366,4 +351,4 @@ def _certificate_from_row(row):
             raise ValueError(f"target_gamma4 {tg} must be 1 or 'slice'")
     return BandMoveCertificate(source=source, h=h, target=target,
                                target_gamma4=tg,
-                               figure_ref=(row.get("figure_ref") or "").strip())
+                               figure_ref=row["figure_ref"].strip())

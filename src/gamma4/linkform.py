@@ -9,6 +9,7 @@ therefore quantify over both signs unless a caller fixes one explicitly.
 Generators are transported through the Smith normal form: with U*G*V = D,
 the columns of U^{-1} descend to generators of coker(G) of orders given by
 the diagonal, and the form on them is the congruent transport of G^{-1}.
+Only the columns of order > 1 are carried through the products.
 
 The cyclic verdicts are square-class tests.  On Z_n with self-linking k/n
 the generator m*g self-links to m^2 k/n, so some generator self-links to
@@ -161,22 +162,23 @@ def linking_form(gd) -> LinkingForm:
     """Transport of G^{-1} onto the Smith generators of coker(G).
 
     With U*G*V = D, coker(G) is generated by the images of the columns of
-    U^{-1}, the i-th of order D[i][i]; the pairing matrix on them is
-    U^{-T} * G^{-1} * U^{-1} taken mod 1, restricted to the generators of
-    order > 1.
+    U^{-1}, the i-th of order D[i][i].  Only the r generators of order > 1
+    are kept, so with W the n x r matrix of those columns the form is
+    W^T * G^{-1} * W taken mod 1: an n x r product, then an r x r one.  The
+    empty G and a unimodular G keep none and have the trivial form.
     """
     g = gd.g
-    if not g:
+    keep = []
+    if g:
+        if exactalg.det(g) == 0:
+            raise DiagramError("singular Goeritz matrix has no linking form")
+        snf = exactalg.smith_normal_form(g)
+        keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    if not keep:
         return LinkingForm(group=FiniteAbelianGroup(()), values=())
-    if exactalg.det(g) == 0:
-        raise DiagramError("singular Goeritz matrix has no linking form")
-    snf = exactalg.smith_normal_form(g)
-    ginv = exactalg.inverse(g)
-    w = exactalg.inverse(snf.U)  # integer entries; U is unimodular
-    wt = exactalg.mat_transpose(w)
-    full = exactalg.mat_mul(wt, exactalg.mat_mul(ginv, w))
-    keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
-    values = tuple(tuple(full[i][j] % 1 for j in keep) for i in keep)
+    w = [[row[i] for i in keep] for row in exactalg.inverse(snf.U)]
+    inner = exactalg.mat_mul(exactalg.inverse(g), w)
+    values = exactalg.mat_mul(exactalg.mat_transpose(w), inner)
     group = FiniteAbelianGroup(tuple(snf.diagonal[i] for i in keep))
     return LinkingForm(group=group, values=values)
 

@@ -26,7 +26,7 @@ Invent. Math. 47 (1978).
 from dataclasses import dataclass
 
 from . import exactalg
-from .errors import DiagramError
+from .errors import DiagramError, InconsistencyError
 from .knotio import PDCode, over_directions
 
 WHITE = "white"
@@ -284,5 +284,5 @@ def signature_via_goeritz(gd: GoeritzData) -> int:
     # a knot signature is even; an odd value means the eta/type conventions
     # drifted, so fail loudly rather than propagate a wrong sign downstream
     if sig % 2 != 0:
-        raise AssertionError(f"odd signature {sig}; convention miscalibrated")
+        raise InconsistencyError(f"odd signature {sig}; convention miscalibrated")
     return sig

@@ -164,6 +164,16 @@ def test_classify_rejects_bad_dataset(capsys, tmp_path):
     assert "inconsistency" in err
 
 
+
+def test_classify_rejects_a_short_row(capsys, tmp_path):
+    bad = tmp_path / "knots.csv"
+    bad.write_text(",".join(DATASET_COLUMNS) + "\nk1\n")
+    code, _out, err = run(capsys, "classify", "--dataset", str(bad),
+                          "--out", str(tmp_path / "r.json"))
+    assert code == 4
+    assert "rejected rows: row 2: non-integer crossings" in err
+
+
 def test_classify_empty_dataset(capsys, tmp_path):
     header = ("name,crossings,pd,signature,arf,g4,u_lo,u_hi,us_lo,us_hi,"
               "c4_lo,c4_hi,crosscap_hi,slice,determinant,definiteness\n")

@@ -171,6 +171,17 @@ def test_bad_rows_are_all_reported(tmp_path):
     assert err.value.rows == (2, 4)
 
 
+
+def test_short_row_reads_missing_cells_as_empty(tmp_path):
+    path = _write_csv(tmp_path, ["k1", "k2,11"])
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert "rejected rows: row 2: non-integer crossings" in str(err.value)
+    assert err.value.rows == (2,)
+    (record,) = load_dataset(_write_csv(tmp_path, ["k2,11"]))
+    assert (record.name, record.crossings, record.pd, record.slice) == ("k2", 11, None, False)
+
+
 # certificates --------------------------------------------------------------
 
 
@@ -216,3 +227,12 @@ def test_certificate_bad_target_gamma(tmp_path):
 def test_certificate_dangling_target_allowed(tmp_path):
     certs = load_certificates(_write_certs(tmp_path, ["X,0,nowhere,slice,"]))
     assert certs[0].target == "nowhere"
+
+
+def test_certificate_short_row_reads_missing_cells_as_empty(tmp_path):
+    with pytest.raises(DataError) as err:
+        load_certificates(_write_certs(tmp_path, ["X,0,Y", "X,0,Y,1"]))
+    assert "rejected rows: row 2: non-integer target_gamma4" in str(err.value)
+    assert err.value.rows == (2,)
+    (cert,) = load_certificates(_write_certs(tmp_path, ["X,0,Y,1"]))
+    assert (cert.target_gamma4, cert.figure_ref) == (1, "")

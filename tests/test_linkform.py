@@ -167,6 +167,13 @@ def test_linking_form_is_the_integer_smith_identity(dataset):
         assert linking_form(gd_of(g)).values == smith_identity_values(g), g
 
 
+
+def test_linking_form_of_a_unimodular_goeritz_matrix_is_trivial():
+    trivial = LinkingForm(group=FiniteAbelianGroup(()), values=())
+    for g in ([[1]], [[2, 1], [1, 1]], [[-1, 0], [0, 1]]):
+        assert linking_form(gd_of(g)) == trivial, g
+
+
 def test_linking_form_symmetric_and_nondegenerate_guard():
     with pytest.raises(ValueError):
         LinkingForm(group=FiniteAbelianGroup((5,)), values=((Fraction(0),),))

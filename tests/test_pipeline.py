@@ -58,6 +58,15 @@ def test_signature_off_by_two_contradicts_the_determinant_sign(
     assert "11n155" in str(err.value) and "det G" in str(err.value)
 
 
+
+def test_odd_signature_exits_4(capsys, monkeypatch, tmp_path):
+    from gamma4 import exactalg
+    original = exactalg.signature
+    monkeypatch.setattr(exactalg, "signature", lambda m: original(m) + 1)
+    assert main(["classify", "--out", str(tmp_path / "r.json")]) == 4
+    assert "odd signature" in capsys.readouterr().err
+
+
 def test_wrong_determinant_is_an_inconsistency(knots_csv, certificates_csv, tmp_path):
     bad = edit_dataset(knots_csv, tmp_path, "11n155", determinant="49")
     with pytest.raises(InconsistencyError) as err:
