@@ -7,8 +7,8 @@ them with ingested invariant tables and band-move certificates into a
 per-knot interval for gamma_4 with a full derivation trail.
 """
 
-from .bounds import (GammaBounds, apply_certificate, clasp_number, classify,
-                     sig_arf_obstruction, upper_from_clasp, upper_misc)
+from .bounds import (GammaBounds, clasp_number, classify, classify_all,
+                     sig_arf_obstruction, upper_from_clasp)
 from .errors import (DataError, DiagramError, Gamma4Error, InconsistencyError,
                      KnotNotFound, PDSemanticError, PDSyntaxError)
 from .exactalg import SNFResult, det, inverse, signature, smith_normal_form

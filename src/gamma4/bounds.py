@@ -19,12 +19,23 @@ Rule inventory (citations name the classical sources):
   and = 1 when K' is slice.
 * linking-form verdicts (module linkform) obstruct gamma_4 = 1 only, so
   they raise the lower bound to exactly 2.
+
+``classify`` applies these rules to one knot.  ``classify_all`` sweeps it
+over a dataset with the band-move ledger: a certificate onto a knot
+outside the dataset trusts the ledger's gamma_4 = 1, one onto a knot in
+the dataset uses that knot's current upper bound.  Uppers only ever
+decrease, so the sweeps reach a fixed point; one that has not settled
+after len(records) + 1 sweeps is an InconsistencyError.  Then every
+ledger claim of gamma_4 = 1 for a knot in the dataset must agree with
+the run: a proven lower bound above 1, determined or not, contradicts it.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import InconsistencyError
 from .knotio import SLICE
+from .linkform import (RULE_DEFINITENESS, RULE_KLEIN, RULE_MOBIUS_CYCLIC,
+                       RULE_MOBIUS_P2Q)
 
 RULE_SLICE = "slice"
 RULE_CROSSING = "crossing-floor"
@@ -44,11 +55,11 @@ CITATIONS = {
     RULE_CLASP: "clasp-number bound (Murakami-Yasuhara)",
     RULE_CLASP_EQ: "g4 = c4 >= 1 forces Gamma4 = gamma4 (Murakami-Yasuhara)",
     RULE_BAND: "non-oriented band move bound (Jabuka-Kelly)",
-    "mobius-cyclic": "linking-form Mobius obstruction (Gilmer-Livingston)",
-    "mobius-prime-square": "linking-form Mobius obstruction, order p^2*q splitting",
-    "definiteness": "linking-form sign vs definiteness of the double cover "
-                    "(Gilmer-Livingston)",
-    "klein-discriminant": "Klein-bottle discriminant condition (Gilmer-Livingston)",
+    RULE_MOBIUS_CYCLIC: "linking-form Mobius obstruction (Gilmer-Livingston)",
+    RULE_MOBIUS_P2Q: "linking-form Mobius obstruction, order p^2*q splitting",
+    RULE_DEFINITENESS: "linking-form sign vs definiteness of the double cover "
+                       "(Gilmer-Livingston)",
+    RULE_KLEIN: "Klein-bottle discriminant condition (Gilmer-Livingston)",
 }
 
 
@@ -160,45 +171,6 @@ def upper_from_clasp(c4, g4):
     return gamma, gamma_bar
 
 
-def upper_misc(rec):
-    """Generic upper bounds as (value, rule, detail) candidates."""
-    if rec.slice:
-        if rec.g4 not in (None, 0):
-            raise InconsistencyError(f"{rec.name}: slice flag with g4 = {rec.g4}")
-        return [(1, RULE_SLICE, "slice knot bounds a Mobius band")]
-    out = [(rec.crossings // 2, RULE_CROSSING,
-            f"floor({rec.crossings}/2)")]
-    if rec.g4 is not None:
-        if rec.g4 == 0:
-            raise InconsistencyError(
-                f"{rec.name}: g4 = 0 without the slice flag")
-        out.append((2 * rec.g4 + 1, RULE_ORIENTABLE, f"2*{rec.g4} + 1"))
-    if rec.crosscap_hi is not None:
-        out.append((rec.crosscap_hi, RULE_CROSSCAP,
-                    f"crosscap number <= {rec.crosscap_hi}"))
-    return out
-
-
-def apply_certificate(b, cert, resolved_target_gamma):
-    """Fold one band-move certificate into the bounds.
-
-    A slice target forces gamma_4 = 1 outright; otherwise
-    gamma_4(source) <= gamma_4(target) + 1.
-    """
-    if cert.target_gamma4 == SLICE:
-        b.cut_upper(1, RULE_BAND,
-                    f"band move (h={cert.h:+d}) to slice {cert.target} "
-                    f"[{cert.figure_ref}]")
-        return b
-    if resolved_target_gamma is None:
-        raise ValueError(f"certificate {cert.source} -> {cert.target}: "
-                         f"target gamma4 unresolved")
-    b.cut_upper(resolved_target_gamma + 1, RULE_BAND,
-                f"band move (h={cert.h:+d}) to {cert.target} with gamma4 = "
-                f"{resolved_target_gamma} [{cert.figure_ref}]")
-    return b
-
-
 def classify(rec, verdicts, certs, resolve_target):
     """Assemble the gamma_4 interval for one knot.
 
@@ -214,16 +186,20 @@ def classify(rec, verdicts, certs, resolve_target):
         b.cut_upper(1, RULE_SLICE, "slice knot bounds a Mobius band")
         b.cut_gamma_bar(0, RULE_SLICE, "slice disk has b1 = 0")
         return b
+    if rec.g4 == 0:
+        raise InconsistencyError(f"{rec.name}: g4 = 0 without the slice flag")
 
-    for value, rule, detail in upper_misc(rec):
-        b.cut_upper(value, rule, detail)
-    b.cut_gamma_bar(rec.crossings // 2, RULE_CROSSING,
-                    f"floor({rec.crossings}/2)")
+    floor = f"floor({rec.crossings}/2)"
+    b.cut_upper(rec.crossings // 2, RULE_CROSSING, floor)
+    if rec.g4 is not None:
+        b.cut_upper(2 * rec.g4 + 1, RULE_ORIENTABLE, f"2*{rec.g4} + 1")
+    if rec.crosscap_hi is not None:
+        b.cut_upper(rec.crosscap_hi, RULE_CROSSCAP,
+                    f"crosscap number <= {rec.crosscap_hi}")
+    b.cut_gamma_bar(rec.crossings // 2, RULE_CROSSING, floor)
     if rec.g4 is not None:
         b.cut_gamma_bar(2 * rec.g4, RULE_ORIENTABLE,
                         f"Gamma4 <= 2*g4 = {2 * rec.g4} by definition")
-
-    if rec.g4 is not None:
         lo, hi = clasp_number(rec)
         if hi is not None and lo == hi and lo >= 1:
             gamma, gamma_bar = upper_from_clasp(lo, rec.g4)
@@ -235,11 +211,15 @@ def classify(rec, verdicts, certs, resolve_target):
         if cert.source != rec.name:
             raise ValueError(f"certificate for {cert.source} applied to {rec.name}")
         if cert.target_gamma4 == SLICE:
-            apply_certificate(b, cert, None)
-        else:
-            resolved = resolve_target(cert)
-            if resolved is not None:
-                apply_certificate(b, cert, resolved)
+            b.cut_upper(1, RULE_BAND,
+                        f"band move (h={cert.h:+d}) to slice {cert.target} "
+                        f"[{cert.figure_ref}]")
+            continue
+        resolved = resolve_target(cert)
+        if resolved is not None:
+            b.cut_upper(resolved + 1, RULE_BAND,
+                        f"band move (h={cert.h:+d}) to {cert.target} with "
+                        f"gamma4 = {resolved} [{cert.figure_ref}]")
 
     if rec.signature is not None and rec.arf is not None:
         if sig_arf_obstruction(rec.signature, rec.arf):
@@ -249,3 +229,45 @@ def classify(rec, verdicts, certs, resolve_target):
         if verdict.obstructed:
             b.raise_lower(2, verdict.rule, verdict.witness)
     return b
+
+
+def classify_all(records, verdicts, certs):
+    """{name: GammaBounds} for every record under the certificate ledger
+    (see the module docstring); ``verdicts`` maps a knot name to its
+    linking-form verdicts, and a knot missing from it has none."""
+    names = {rec.name for rec in records}
+    certs_by_source = {}
+    for cert in certs:
+        certs_by_source.setdefault(cert.source, []).append(cert)
+    bounds = {}
+
+    def resolve(cert):
+        if cert.target not in names:
+            return 1 if cert.target_gamma4 == 1 else None
+        prior = bounds.get(cert.target)
+        return None if prior is None else prior.upper
+
+    for _ in range(len(records) + 1):
+        changed = False
+        for rec in records:
+            new = classify(rec, verdicts.get(rec.name, []),
+                           certs_by_source.get(rec.name, ()), resolve)
+            old = bounds.get(rec.name)
+            if old is None or (new.lower, new.upper) != (old.lower, old.upper):
+                changed = True
+            bounds[rec.name] = new
+        if not changed:
+            break
+    else:
+        raise InconsistencyError(
+            f"certificate bounds did not converge after {len(records) + 1} "
+            f"sweeps")
+
+    for cert in certs:
+        got = bounds.get(cert.target)
+        if got is not None and cert.target_gamma4 == 1 and got.lower > 1:
+            raise InconsistencyError(
+                f"certificate {cert.source} -> {cert.target} claims the "
+                f"target has gamma4 = 1 but the run proved gamma4 >= "
+                f"{got.lower}")
+    return bounds

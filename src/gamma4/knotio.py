@@ -239,9 +239,10 @@ def _parse_bool(cell, what):
 
 def _load_rows(path, columns, from_row):
     """Parse each data row of a CSV with the mandatory ``columns`` by
-    ``from_row``, in table order.  Missing trailing cells read as empty.
-    Rejected rows are collected and reported together in a single
-    :class:`DataError` with their row numbers."""
+    ``from_row``, in table order.  Missing trailing cells read as empty;
+    cells beyond the header reject the row.  Rejected rows are collected
+    and reported together in a single :class:`DataError` with their row
+    numbers."""
     path = Path(path)
     items = []
     failures = []
@@ -253,6 +254,10 @@ def _load_rows(path, columns, from_row):
         if missing:
             raise DataError(f"{path}: missing mandatory columns {missing}")
         for lineno, row in enumerate(reader, start=2):
+            if None in row:  # DictReader files surplus cells under None
+                failures.append((lineno, f"{len(row[None])} cell(s) beyond "
+                                 f"the {len(reader.fieldnames)}-column header"))
+                continue
             try:
                 items.append(from_row(row))
             except (ValueError, PDSyntaxError, PDSemanticError) as exc:

@@ -41,6 +41,11 @@ OBSTRUCTED = "Obstructed"
 NOT_OBSTRUCTED = "NotObstructed"
 INAPPLICABLE = "Inapplicable"
 
+RULE_MOBIUS_CYCLIC = "mobius-cyclic"
+RULE_MOBIUS_P2Q = "mobius-prime-square"
+RULE_KLEIN = "klein-discriminant"
+RULE_DEFINITENESS = "definiteness"
+
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
@@ -364,7 +369,7 @@ def mobius_obstruction_cyclic(form: LinkingForm) -> ObstructionVerdict:
     unit square mod n for lambda(g,g) = k/n.  The NotObstructed witness is
     the least m with m^2 k = +-1 mod n.
     """
-    rule = "mobius-cyclic"
+    rule = RULE_MOBIUS_CYCLIC
     if not form.group.is_cyclic:
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 is not cyclic")
     n = form.group.order
@@ -394,7 +399,7 @@ def mobius_obstruction_p2q(form: LinkingForm) -> ObstructionVerdict:
     is the square-class test of mobius_obstruction_cyclic, with the same
     least-root witness.
     """
-    rule = "mobius-prime-square"
+    rule = RULE_MOBIUS_P2Q
     if not form.group.is_cyclic:
         return ObstructionVerdict(INAPPLICABLE, rule, "H1 is not cyclic")
     n, factors = form.group.order, form.group.order_factors
@@ -420,7 +425,7 @@ def klein_discriminant(form: LinkingForm) -> ObstructionVerdict:
     c^((p-1)/2) = 1).  If neither is, -1 = -disc/disc is one, so
     p = 1 mod 4.  The class is insensitive to the global sign.
     """
-    rule = "klein-discriminant"
+    rule = RULE_KLEIN
     group, factors = form.group, form.group.invariant_factors
     if len(factors) != 2 or group.order_factors != {factors[0]: 2}:
         return ObstructionVerdict(
@@ -448,7 +453,7 @@ def definiteness_consistency(form: LinkingForm, required_sign) -> ObstructionVer
     definiteness of the opposite sign is a contradiction and the knot
     bounds no Mobius band this way [GiL1992].
     """
-    rule = "definiteness"
+    rule = RULE_DEFINITENESS
     if required_sign not in (1, -1):
         return ObstructionVerdict(INAPPLICABLE, rule, "no required sign ingested")
     if not form.group.is_cyclic or form.group.is_trivial:

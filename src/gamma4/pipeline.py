@@ -8,10 +8,8 @@ signature the ingested signature whenever both sides exist.  A failed
 cross-check is an inconsistency (bad data, a miscalibrated convention or
 an elimination bug), not a warning.
 
-Certificates are folded in by a fixed-point pass: a certificate whose
-target lives in the dataset uses the target's classified upper bound from
-the current sweep, so chains (a band move onto a knot that itself needs a
-band move) resolve in a couple of iterations.
+The intervals, band-move certificates included, come from
+``bounds.classify_all``.
 
 The report is fully deterministic: entries are sorted by knot name, all
 values are exact (fractions rendered as strings), and the metadata block
@@ -27,10 +25,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import exactalg, planar
-from .bounds import classify
+from .bounds import classify_all
 from .errors import InconsistencyError
 from .knotio import load_certificates, load_dataset
-from .linkform import (INAPPLICABLE, definiteness_consistency, homology,
+from .linkform import (INAPPLICABLE, RULE_DEFINITENESS,
+                       definiteness_consistency, homology,
                        klein_discriminant, linking_form,
                        mobius_obstruction_cyclic, mobius_obstruction_p2q)
 
@@ -121,7 +120,7 @@ def resolve_sign_convention(records, requested):
         for sign in (1, -1):
             analysis = analyze_diagram(rec, sign)
             verdict = next((v for v in analysis.verdicts
-                            if v.rule == "definiteness"), None)
+                            if v.rule == RULE_DEFINITENESS), None)
             if verdict is not None and verdict.result != INAPPLICABLE:
                 votes.append((rec.name, sign, verdict.obstructed))
     under_plus = [obstructed for _n, s, obstructed in votes if s == 1]
@@ -148,11 +147,11 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
     """
     records = load_dataset(dataset_path)
     certs = load_certificates(certificates_path)
-    by_name = {}
+    names = set()
     for rec in records:
-        if rec.name in by_name:
+        if rec.name in names:
             raise InconsistencyError(f"duplicate knot name {rec.name}")
-        by_name[rec.name] = rec
+        names.add(rec.name)
 
     sign, sign_note = resolve_sign_convention(records, sign_convention)
 
@@ -161,48 +160,8 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
         if rec.pd is not None:
             analyses[rec.name] = analyze_diagram(rec, sign, enable_klein)
 
-    certs_by_source = {}
-    for cert in certs:
-        certs_by_source.setdefault(cert.source, []).append(cert)
-
-    # Fixed-point sweep: uppers only ever decrease, so this terminates.
-    bounds = {}
-    for _ in range(len(records) + 1):
-        changed = False
-        for rec in records:
-            def resolve(cert):
-                target = by_name.get(cert.target)
-                if target is None:
-                    return 1 if cert.target_gamma4 == 1 else None
-                prior = bounds.get(cert.target)
-                if prior is not None and prior.upper is not None:
-                    return prior.upper
-                return None
-            verdicts = analyses[rec.name].verdicts if rec.name in analyses else []
-            new = classify(rec, verdicts, certs_by_source.get(rec.name, ()),
-                           resolve)
-            old = bounds.get(rec.name)
-            if old is None or (new.lower, new.upper) != (old.lower, old.upper):
-                changed = True
-            bounds[rec.name] = new
-        if not changed:
-            break
-    else:
-        raise InconsistencyError(
-            f"certificate bounds did not converge after {len(records) + 1} "
-            f"sweeps")
-
-    # Certificates claiming gamma4 = 1 for an in-dataset target must agree
-    # with what the run itself determined for that target.
-    for cert in certs:
-        target = by_name.get(cert.target)
-        if target is not None and cert.target_gamma4 == 1:
-            got = bounds[cert.target]
-            if got.determined and got.lower != 1:
-                raise InconsistencyError(
-                    f"certificate {cert.source} -> {cert.target} claims the "
-                    f"target has gamma4 = 1 but the run determined "
-                    f"{got.lower}")
+    bounds = classify_all(
+        records, {name: a.verdicts for name, a in analyses.items()}, certs)
 
     entries = [ReportEntry(name=rec.name, record=rec,
                            analysis=analyses.get(rec.name),

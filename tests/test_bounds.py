@@ -1,13 +1,15 @@
 """Classification rules: obstructions, clasp bounds, certificates."""
 
+from dataclasses import replace
+
 import pytest
 
-from gamma4.bounds import (GammaBounds, apply_certificate, clasp_number,
-                           classify, sig_arf_obstruction, upper_from_clasp,
-                           upper_misc)
+from gamma4.bounds import (clasp_number, classify, classify_all,
+                           sig_arf_obstruction, upper_from_clasp)
 from gamma4.errors import InconsistencyError
 from gamma4.knotio import SLICE, BandMoveCertificate, KnotRecord
-from gamma4.linkform import (NOT_OBSTRUCTED, OBSTRUCTED, ObstructionVerdict)
+from gamma4.linkform import (NOT_OBSTRUCTED, OBSTRUCTED, RULE_MOBIUS_CYCLIC,
+                             ObstructionVerdict)
 
 
 def rec(**kw):
@@ -86,45 +88,54 @@ def test_upper_from_clasp_branches():
 
 
 def test_upper_misc():
-    values = dict((rule, v) for v, rule, _d in upper_misc(rec(g4=1)))
-    assert values == {"crossing-floor": 5, "orientable-genus": 3}
-    values = dict((rule, v) for v, rule, _d in
-                  upper_misc(rec(g4=1, crosscap_hi=2)))
-    assert values["crosscap"] == 2
-    assert upper_misc(rec(slice=True, g4=0))[0][0] == 1
+    b = classify(rec(g4=1), [], [], lambda c: None)
+    uppers = [(r.rule, r.detail) for r in b.reasons
+              if r.detail.startswith("upper")]
+    assert uppers == [
+        ("crossing-floor", "upper <= 5: floor(11/2)"),
+        ("orientable-genus", "upper <= 3: 2*1 + 1")]
+    b = classify(rec(g4=1, crosscap_hi=2), [], [], lambda c: None)
+    assert (b.upper, b.reasons[2].rule) == (2, "crosscap")
+    assert classify(rec(slice=True, g4=0), [], [], lambda c: None).upper == 1
 
 
 def test_upper_misc_rejects_nonslice_genus_zero():
-    with pytest.raises(InconsistencyError):
-        upper_misc(rec(g4=0))
+    with pytest.raises(InconsistencyError, match="g4 = 0 without the slice"):
+        classify(rec(g4=0), [], [], lambda c: None)
 
 
 # certificates ----------------------------------------------------------------
 
 
 def test_apply_certificate_slice_target():
-    b = GammaBounds(name="k")
-    apply_certificate(b, cert(target_gamma4=SLICE), None)
-    assert b.upper == 1 and b.reasons
+    b = classify(rec(), [], [cert(target_gamma4=SLICE)], lambda c: None)
+    assert b.upper == 1
+    assert b.reasons[-1].rule == "band-move"
+    assert b.reasons[-1].detail == "upper <= 1: band move (h=+0) to slice t [fig]"
 
 
 def test_apply_certificate_gamma_target():
-    b = GammaBounds(name="k")
-    apply_certificate(b, cert(target_gamma4=1), 1)
+    b = classify(rec(), [], [cert(target_gamma4=1)], lambda c: 1)
     assert b.upper == 2
+    assert b.reasons[-1].detail == ("upper <= 2: band move (h=+0) to t with "
+                                    "gamma4 = 1 [fig]")
 
 
 def test_apply_certificate_never_raises_upper():
-    b = GammaBounds(name="k")
-    b.cut_upper(2, "band-move", "first")
-    before = list(b.reasons)
-    apply_certificate(b, cert(), 2)  # resolved 2 gives candidate 3: no change
-    assert b.upper == 2 and b.reasons == before
+    # the first move leaves upper 2; resolved 2 gives candidate 3: no change
+    first = cert(figure_ref="first")
+    b = classify(rec(), [], [first, cert()],
+                 lambda c: 1 if c is first else 2)
+    assert b.upper == 2
+    assert [r.detail for r in b.reasons if r.rule == "band-move"] == [
+        "upper <= 2: band move (h=+0) to t with gamma4 = 1 [first]"]
 
 
 def test_apply_certificate_requires_resolution():
-    with pytest.raises(ValueError):
-        apply_certificate(GammaBounds(name="k"), cert(), None)
+    # an unresolved target bounds nothing and leaves no reason
+    b = classify(rec(), [], [cert()], lambda c: None)
+    assert b.upper == 5
+    assert not any(r.rule == "band-move" for r in b.reasons)
 
 
 # classify ---------------------------------------------------------------------
@@ -207,3 +218,68 @@ def test_non_improving_rule_leaves_no_reason():
                  [], [cert(target_gamma4=1)], lambda c: 1)
     assert (b.lower, b.upper) == (2, 2)
     assert not any("band move" in r.detail for r in b.reasons)
+
+
+# every rule on one record ------------------------------------------------------
+
+
+def test_every_rule_golden_trail():
+    """The exact (rule, detail) trail, in order, with every upper and
+    lower rule present.  A reason is kept only when it moves a bound, so
+    the obstructed verdict after sig-arf leaves none; a slice move makes
+    the upper 1, so it is pinned without the lower rules and raises with
+    them."""
+    full = rec(crossings=21, g4=3, c4_lo=4, c4_hi=4, crosscap_hi=6,
+               signature=-4, arf=0)
+    uppers = [
+        ("crossing-floor", "upper <= 10: floor(21/2)"),
+        ("orientable-genus", "upper <= 7: 2*3 + 1"),
+        ("crosscap", "upper <= 6: crosscap number <= 6"),
+        ("crossing-floor", "Gamma4 <= 10: floor(21/2)"),
+        ("orientable-genus", "Gamma4 <= 6: Gamma4 <= 2*g4 = 6 by definition"),
+        ("clasp-parity", "upper <= 4: c4 = 4 exactly"),
+        ("clasp-parity", "Gamma4 <= 4: c4 = 4 exactly"),
+        ("band-move", "upper <= 3: band move (h=-1) to t with gamma4 = 2 [fig]"),
+    ]
+    band = cert(h=-1)
+    slice_move = cert(h=1, target="0_1", target_gamma4=SLICE, figure_ref="s")
+
+    def trail(record, verdicts, certs):
+        b = classify(record, verdicts, certs, lambda c: 2)
+        return (b.lower, b.upper, b.gamma_bar_upper,
+                [(r.rule, r.detail) for r in b.reasons])
+
+    assert trail(full, [obstructed_verdict()], [band]) == (2, 3, 4, uppers + [
+        ("sig-arf", "lower >= 2: sigma = -4, Arf = 0")])
+    # sigma + 4*Arf = 0 (mod 8): the verdict raises the lower bound instead
+    assert trail(replace(full, arf=1), [obstructed_verdict()], [band]) == (
+        2, 3, 4, uppers + [(RULE_MOBIUS_CYCLIC, "lower >= 2: no generator")])
+    assert trail(replace(full, signature=None, arf=None), [],
+                 [band, slice_move]) == (1, 1, 4, uppers + [
+        ("band-move", "upper <= 1: band move (h=+1) to slice 0_1 [s]")])
+    with pytest.raises(InconsistencyError, match="after rule sig-arf"):
+        classify(full, [], [band, slice_move], lambda c: 2)
+    # g4 = c4 with gamma = Gamma names the tie rule instead
+    tied = classify(rec(g4=2, c4_lo=2, c4_hi=2), [], [], lambda c: None)
+    assert [(r.rule, r.detail) for r in tied.reasons][-2:] == [
+        ("clasp-equals-genus", "upper <= 2: c4 = 2 exactly"),
+        ("clasp-parity", "Gamma4 <= 2: c4 = 2 exactly")]
+
+
+# the certificate ledger ---------------------------------------------------------
+
+
+def test_classify_all_trusts_an_outside_target_and_chains_inside():
+    # b comes first, so a's bound reaches it only in the second sweep
+    records = [rec(name="b"), rec(name="a")]
+    certs = [cert(source="b", target="a"), cert(source="a", target="x")]
+    bounds = classify_all(records, {}, certs)
+    assert (bounds["a"].upper, bounds["b"].upper) == (2, 3)
+
+
+def test_classify_all_checks_a_claim_against_an_undetermined_lower():
+    # a is [2, 5]: not determined, yet a claim that gamma4(a) = 1 is false
+    records = [rec(name="a", signature=-4, arf=0), rec(name="b")]
+    with pytest.raises(InconsistencyError,
+                       match="b -> a claims .* proved gamma4 >= 2"):
+        classify_all(records, {}, [cert(source="b", target="a")])

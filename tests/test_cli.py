@@ -174,6 +174,15 @@ def test_classify_rejects_a_short_row(capsys, tmp_path):
     assert "rejected rows: row 2: non-integer crossings" in err
 
 
+def test_classify_rejects_surplus_cells(capsys, tmp_path):
+    bad = tmp_path / "knots.csv"
+    bad.write_text(",".join(DATASET_COLUMNS) + "\nk1,11" + "," * 14 + ",x\n")
+    code, _out, err = run(capsys, "classify", "--dataset", str(bad),
+                          "--out", str(tmp_path / "r.json"))
+    assert code == 4
+    assert "rejected rows: row 2: 1 cell(s) beyond the 16-column header" in err
+
+
 def test_classify_empty_dataset(capsys, tmp_path):
     header = ("name,crossings,pd,signature,arf,g4,u_lo,u_hi,us_lo,us_hi,"
               "c4_lo,c4_hi,crosscap_hi,slice,determinant,definiteness\n")

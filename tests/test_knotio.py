@@ -182,6 +182,16 @@ def test_short_row_reads_missing_cells_as_empty(tmp_path):
     assert (record.name, record.crossings, record.pd, record.slice) == ("k2", 11, None, False)
 
 
+def test_surplus_cells_reject_the_row(tmp_path):
+    path = _write_csv(tmp_path, ["k1,11,,,,,,,,,,,,false,,",
+                                 "k2,11,,,,,,,,,,,,false,,,,x"])
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert ("rejected rows: row 3: 2 cell(s) beyond the 16-column header"
+            in str(err.value))
+    assert err.value.rows == (3,)
+
+
 # certificates --------------------------------------------------------------
 
 
@@ -236,3 +246,12 @@ def test_certificate_short_row_reads_missing_cells_as_empty(tmp_path):
     assert err.value.rows == (2,)
     (cert,) = load_certificates(_write_certs(tmp_path, ["X,0,Y,1"]))
     assert (cert.target_gamma4, cert.figure_ref) == (1, "")
+
+
+def test_certificate_surplus_cells_reject_the_row(tmp_path):
+    # an unquoted comma in the figure reference spills into a sixth cell
+    with pytest.raises(DataError) as err:
+        load_certificates(_write_certs(tmp_path, ["X,0,Y,1,Fig 2, 3"]))
+    assert ("rejected rows: row 2: 1 cell(s) beyond the 5-column header"
+            in str(err.value))
+    assert err.value.rows == (2,)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from gamma4 import pipeline
+from gamma4 import bounds, pipeline
 from gamma4.bounds import GammaBounds
 from gamma4.cli import main
 from gamma4.errors import InconsistencyError
@@ -115,7 +115,7 @@ def test_certificate_sweep_that_never_settles_is_an_inconsistency(
     def never_settling(rec, verdicts, certs, resolve):
         return GammaBounds(name=rec.name, upper=2 + next(calls))
 
-    monkeypatch.setattr(pipeline, "classify", never_settling)
+    monkeypatch.setattr(bounds, "classify", never_settling)
     with pytest.raises(InconsistencyError, match="did not converge after 3"):
         pipeline.run_classification(knots, certs)
     assert main(["classify", "--dataset", str(knots), "--certificates",
@@ -134,6 +134,19 @@ def test_certificate_claim_contradicting_run_is_flagged(tmp_path, dataset_by_nam
     with pytest.raises(InconsistencyError) as err:
         pipeline.run_classification(knots, certs)
     assert "claims" in str(err.value)
+
+
+def test_certificate_claim_against_an_undetermined_lower_exits_4(
+        tmp_path, capsys):
+    # "a" is only known to lie in [2, 5] (sig-arf, crossing floor), which
+    # already contradicts the claim gamma4(a) = 1
+    knots = write_rows(tmp_path / "knots.csv", HEADER, [
+        "a,11,,-4,0,,,,,,,,,false,,",
+    ])
+    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, ["B,0,a,1,fig"])
+    assert main(["classify", "--dataset", str(knots), "--certificates",
+                 str(certs), "--out", str(tmp_path / "r.json")]) == 4
+    assert "B -> a claims the target has gamma4 = 1" in capsys.readouterr().err
 
 
 def test_sign_convention_flips_on_uniform_contradiction(tmp_path, dataset_by_name):
@@ -263,3 +276,9 @@ def test_bundled_report_knots_digest(classification):
     report = pipeline.report_json(*classification)
     assert knots_digest(report) == (
         "7e2a4a5ce00b6317714d2851536c441f4be778342fda90c2fb39fca86f1b82b5")
+
+
+def test_bundled_summary_csv_digest(classification):
+    summary = pipeline.summary_csv(classification[0])
+    assert hashlib.sha256(summary.encode()).hexdigest() == (
+        "68f1e18d0f228c923f8c9ed11ababd709462897d846e034643f332023f88e3fc")
