@@ -26,8 +26,9 @@ outside the dataset trusts the ledger's gamma_4 = 1, one onto a knot in
 the dataset uses that knot's current upper bound.  Uppers only ever
 decrease, so the sweeps reach a fixed point; one that has not settled
 after len(records) + 1 sweeps is an InconsistencyError.  Then every
-ledger claim of gamma_4 = 1 for a knot in the dataset must agree with
-the run: a proven lower bound above 1, determined or not, contradicts it.
+ledger claim about a knot in the dataset must agree with the run: a
+proven lower bound above 1, determined or not, contradicts a claim of
+gamma_4 = 1, and a claim that the knot is slice needs its slice flag.
 """
 
 from dataclasses import dataclass, field
@@ -235,14 +236,14 @@ def classify_all(records, verdicts, certs):
     """{name: GammaBounds} for every record under the certificate ledger
     (see the module docstring); ``verdicts`` maps a knot name to its
     linking-form verdicts, and a knot missing from it has none."""
-    names = {rec.name for rec in records}
+    by_name = {rec.name: rec for rec in records}
     certs_by_source = {}
     for cert in certs:
         certs_by_source.setdefault(cert.source, []).append(cert)
     bounds = {}
 
     def resolve(cert):
-        if cert.target not in names:
+        if cert.target not in by_name:
             return 1 if cert.target_gamma4 == 1 else None
         prior = bounds.get(cert.target)
         return None if prior is None else prior.upper
@@ -265,7 +266,13 @@ def classify_all(records, verdicts, certs):
 
     for cert in certs:
         got = bounds.get(cert.target)
-        if got is not None and cert.target_gamma4 == 1 and got.lower > 1:
+        if got is None:
+            continue
+        if cert.target_gamma4 == SLICE and not by_name[cert.target].slice:
+            raise InconsistencyError(
+                f"certificate {cert.source} -> {cert.target} claims the "
+                f"target is slice but the dataset does not flag it slice")
+        if cert.target_gamma4 == 1 and got.lower > 1:
             raise InconsistencyError(
                 f"certificate {cert.source} -> {cert.target} claims the "
                 f"target has gamma4 = 1 but the run proved gamma4 >= "

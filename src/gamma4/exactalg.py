@@ -1,16 +1,16 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
-Everything here is exact: matrices are plain nested lists of Python ints
-(arbitrary precision) or ``fractions.Fraction``.  No floating point is used
-anywhere; the downstream obstructions are number-theoretic and a single
-rounding error would silently flip a verdict.
+Matrices are plain nested lists of Python ints (arbitrary precision), and
+every kernel takes and returns integers only: no floating point and no
+rational, as the downstream obstructions are number-theoretic and one
+rounding error would silently flip a verdict.  Each kernel works on an
+integer copy of its input, which rejects a ``Fraction`` or float entry
+with TypeError.  An inverse is the integer pair (N, d) with A*N = d*I;
+only ``linkform`` turns such pairs into Q/Z values.
 
-The kernels compute on integers only.  Rational inputs are first scaled by
-the lcm of their denominators, and a ``Fraction`` is built once per entry
-of a rational result, never inside elimination.  Elimination is
-fraction-free: ``det`` and ``inverse`` divide exactly by the previous
-pivot (Bareiss), so their intermediate entries are minors of the input,
-and ``signature`` divides each trailing block by its content.
+Elimination is fraction-free: ``det`` and ``inverse`` divide exactly by
+the previous pivot (Bareiss), so their intermediate entries are minors of
+the input, and ``signature`` divides each trailing block by its content.
 ``smith_normal_form`` eliminates on one augmented matrix holding U beside
 D and V below it, so each row or column operation is written once and
 carries its transform along.  Coefficient growth stays polynomial at the
@@ -18,11 +18,10 @@ Goeritz dimensions the pipeline meets (tens of rows).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd, lcm
-from operator import mul
+from math import gcd
+from operator import index, mul
 
 IntMatrix = list  # list[list[int]], rectangular
 
@@ -46,8 +45,10 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def copy_matrix(m):
-    return [list(row) for row in m]
+def integer_copy(m):
+    """A fresh list-of-lists copy of m with int entries; an entry that is
+    not an integer (a Fraction, a float) raises TypeError."""
+    return [list(map(index, row)) for row in m]
 
 
 def dimensions(m):
@@ -71,29 +72,14 @@ def is_symmetric(m):
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def _scaled_to_integers(m):
-    """(s, s*m as ints) with s the lcm of the entries' denominators."""
-    scale = lcm(*{x.denominator for row in m for x in row})
-    return scale, [[x.numerator * (scale // x.denominator) for x in row]
-                   for row in m]
-
-
 def mat_mul(a, b):
-    """Exact product.  Integer inputs give ints; if either operand holds a
-    Fraction, every entry is a Fraction, divided once by the operands'
-    common denominators after an integer product."""
+    """Product of two integer matrices."""
     ra, ca = dimensions(a)
     rb, cb = dimensions(b)
     if ca != rb:
         raise ValueError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    scale_a, ia = _scaled_to_integers(a)
-    scale_b, ib = _scaled_to_integers(b)
-    cols = list(zip(*ib)) if rb else [()] * cb
-    product = [[sum(map(mul, row, col)) for col in cols] for row in ia]
-    if not any(isinstance(x, Fraction) for m in (a, b) for row in m for x in row):
-        return product
-    scale = scale_a * scale_b
-    return [[Fraction(x, scale) for x in row] for row in product]
+    cols = list(zip(*integer_copy(b)))
+    return [[sum(map(mul, row, col)) for col in cols] for row in integer_copy(a)]
 
 
 def mat_transpose(m):
@@ -102,18 +88,13 @@ def mat_transpose(m):
 
 
 def det(m):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Rational input is scaled by the lcm s of its denominators, giving
-    ``Fraction(det(s*m), s**n)``.  The 0x0 determinant is 1 (empty
-    product), which is what the unknot's empty Goeritz matrix needs.
-    """
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination.  The 0x0 determinant is 1 (empty product), which is what
+    the unknot's empty Goeritz matrix needs."""
     n = require_square(m)
     if n == 0:
         return 1
-    # type() per entry: isinstance(x, Fraction) would cost half a small det
-    rational = not set(map(type, chain.from_iterable(m))) <= {int}
-    scale, a = _scaled_to_integers(m) if rational else (1, copy_matrix(m))
+    a = integer_copy(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -132,24 +113,22 @@ def det(m):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    d = sign * a[n - 1][n - 1]
-    return Fraction(d, scale ** n) if rational else d
+    return sign * a[n - 1][n - 1]
 
 
 def inverse(m):
-    """Exact rational inverse by fraction-free (Bareiss) Gauss-Jordan.
+    """A^-1 = N/d of an integer matrix A as the integer pair (N, d) with
+    A*N = d*I and d = |det A| > 0, by fraction-free (Bareiss) Gauss-Jordan.
 
     ``[A | I]`` is eliminated over the integers, every other row at every
     step, dividing exactly by the previous pivot; the left block ends as
-    d*I with d = +-det(A) and the right block as d*A^-1, so entry (i, j)
-    is the single ``Fraction(R_ij, d)``.  Rational input is scaled to
-    integers first.  Every entry of the result is a Fraction.
+    p*I with p = +-det(A) and the right block as p*A^-1.
 
     Raises ValueError on a singular matrix.
     """
     n = require_square(m)
-    scale, a = _scaled_to_integers(m)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rows = [row + [int(i == j) for j in range(n)]
+            for i, row in enumerate(integer_copy(m))]
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
@@ -165,7 +144,9 @@ def inverse(m):
                 rows[r] = [(pivot * x - f * y) // prev
                            for x, y in zip(rows[r], top)]
         prev = pivot
-    return [[Fraction(scale * x, prev) for x in row[n:]] for row in rows]
+    if prev < 0:
+        return [[-x for x in row[n:]] for row in rows], -prev
+    return [row[n:] for row in rows], prev
 
 
 @dataclass
@@ -199,7 +180,8 @@ def smith_normal_form(m):
     keeps coefficient growth tame at the sizes we meet.
     """
     rows, cols = dimensions(m)
-    a = [list(row) + unit for row, unit in zip(m, identity(rows))] + identity(cols)
+    a = [row + unit for row, unit
+         in zip(integer_copy(m), identity(rows))] + identity(cols)
 
     def col_op(j1, j2, q):
         # col j2 -= q * col j1, in D and V alike
@@ -277,15 +259,15 @@ def signature(m):
     to keep the entries small.  A zero pivot is swapped with a nonzero
     diagonal entry; when every remaining diagonal entry is zero, an
     off-diagonal entry is folded onto the diagonal (row/col addition),
-    which is the 2x2 hyperbolic-block step in disguise.  Rational input is
-    scaled to integers first, which leaves the signature unchanged.
+    which is the 2x2 hyperbolic-block step in disguise.
 
-    Requires a nonsingular symmetric matrix; 0x0 input has signature 0.
+    Requires a nonsingular symmetric integer matrix; 0x0 input has
+    signature 0.
     """
-    n = require_square(m)
-    if not is_symmetric(m):
+    require_square(m)
+    a = integer_copy(m)
+    if not is_symmetric(a):
         raise ValueError("signature requires a symmetric matrix")
-    _, a = _scaled_to_integers(m)
     sign = 1  # sign of the factor by which a is the true Schur complement
     sig = 0
     while a:

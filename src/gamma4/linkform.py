@@ -9,7 +9,10 @@ therefore quantify over both signs unless a caller fixes one explicitly.
 Generators are transported through the Smith normal form: with U*G*V = D,
 the columns of U^{-1} descend to generators of coker(G) of orders given by
 the diagonal, and the form on them is the congruent transport of G^{-1}.
-Only the columns of order > 1 are carried through the products.
+Only the columns of order > 1 are carried through the products.  The
+matrix algebra stays in Z (``exactalg`` takes and returns integers only,
+G^{-1} as the pair (N, d) with G*N = d*I); this module is the one place
+where Q/Z values are built, one ``Fraction`` per entry of the form.
 
 The cyclic verdicts are square-class tests.  On Z_n with self-linking k/n
 the generator m*g self-links to m^2 k/n, so some generator self-links to
@@ -117,14 +120,17 @@ class LinkingForm:
         object.__setattr__(self, "values", vals)
         _check_nondegenerate(self.group, [[int(x) for x in row] for row in scaled])
 
+    def _signed_values(self, sign):
+        return self.values if sign == 1 else tuple(
+            tuple((-x) % 1 for x in row) for row in self.values)
+
     def negated(self):
-        return replace(self, values=tuple(tuple((-x) % 1 for x in row)
-                                          for row in self.values))
+        return replace(self, values=self._signed_values(-1))
 
     def fix_sign(self, sign):
-        """Return the form with the global sign resolved to +1 or -1."""
-        fixed = self if sign == 1 else self.negated()
-        return replace(fixed, sign_fixed=True)
+        """Return the form with the global sign resolved to +1 or -1,
+        constructed (and so validated) once."""
+        return replace(self, values=self._signed_values(sign), sign_fixed=True)
 
     def self_value(self):
         """lambda(g, g) on the generator of a cyclic group."""
@@ -168,9 +174,9 @@ def linking_form(gd) -> LinkingForm:
 
     With U*G*V = D, coker(G) is generated by the images of the columns of
     U^{-1}, the i-th of order D[i][i].  Only the r generators of order > 1
-    are kept, so with W the n x r matrix of those columns the form is
-    W^T * G^{-1} * W taken mod 1: an n x r product, then an r x r one.  The
-    empty G and a unimodular G keep none and have the trivial form.
+    are kept: with W the n x r matrix of those columns and G^{-1} = N/d,
+    the form is W^T*N*W / d mod 1, an integer n x r product, then an r x r
+    one, then one Fraction per entry.  A unimodular or empty G keeps none.
     """
     g = gd.g
     keep = []
@@ -181,9 +187,12 @@ def linking_form(gd) -> LinkingForm:
         keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
     if not keep:
         return LinkingForm(group=FiniteAbelianGroup(()), values=())
-    w = [[row[i] for i in keep] for row in exactalg.inverse(snf.U)]
-    inner = exactalg.mat_mul(exactalg.inverse(g), w)
-    values = exactalg.mat_mul(exactalg.mat_transpose(w), inner)
+    u_inverse, _ = exactalg.inverse(snf.U)  # U is unimodular: d = 1
+    w = [[row[i] for i in keep] for row in u_inverse]
+    scaled_inverse, d = exactalg.inverse(g)  # G^{-1} = scaled_inverse / d
+    products = exactalg.mat_mul(exactalg.mat_transpose(w),
+                                exactalg.mat_mul(scaled_inverse, w))
+    values = [[Fraction(x % d, d) for x in row] for row in products]
     group = FiniteAbelianGroup(tuple(snf.diagonal[i] for i in keep))
     return LinkingForm(group=group, values=values)
 

@@ -11,8 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from sympy import Matrix
 
 from gamma4.errors import DiagramError
+from gamma4.exactalg import det, inverse, mat_mul, require_square
 from gamma4.knotio import PDCode, over_directions
 from gamma4.linkform import FiniteAbelianGroup, LinkingForm
 from gamma4.medial import PlanarGraph, fan_graph, medial_pd
@@ -98,6 +100,49 @@ def fan_goeritz_matrices():
            for dim, seed in ((5, 2), (8, 5), (11, 1), (13, 3), (16, 0), (16, 2))]
     pds.append(connect_sum(mixed_fan_pd(5, 2), mixed_fan_pd(8, 1)))
     return [goeritz(pd).g for pd in pds]
+
+
+# inverses as rationals ------------------------------------------------------
+
+
+def reference_inverse(m):
+    """Gauss-Jordan over Fraction: the algorithm ``exactalg.inverse``
+    replaced, kept as a reference."""
+    n = require_square(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise ValueError("singular matrix has no inverse")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        inv[col] = [x / pivot for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def sympy_inverse(m):
+    inv = Matrix(m).inv()
+    return [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(len(m))]
+            for i in range(len(m))]
+
+
+def checked_inverse(m):
+    """``inverse(m)`` = (N, d) as the Fraction matrix N/d, after checking
+    its contract: m*N = d*I with d = |det m|, and N, d integers."""
+    num, d = inverse(m)
+    assert type(d) is int and all(type(x) is int for row in num for x in row)
+    assert d == abs(det(m)) > 0
+    assert mat_mul(m, num) == [[d * (i == j) for j in range(len(m))]
+                               for i in range(len(m))]
+    return [[Fraction(x, d) for x in row] for row in num]
 
 
 def cyclic_form(n, k, sign_fixed=False):

@@ -6,7 +6,7 @@ the new U, D and V must equal these entry for entry, not merely be an
 equivalent Smith decomposition.
 """
 
-from gamma4.exactalg import SNFResult, copy_matrix, dimensions, identity, xgcd
+from gamma4.exactalg import SNFResult, dimensions, identity, integer_copy, xgcd
 
 
 def smith_normal_form(m):
@@ -17,7 +17,7 @@ def smith_normal_form(m):
     value, which keeps coefficient growth tame at the sizes we meet.
     """
     rows, cols = dimensions(m)
-    d = copy_matrix(m)
+    d = integer_copy(m)
     u = identity(rows)
     v = identity(cols)
 

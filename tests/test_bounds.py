@@ -7,7 +7,9 @@ import pytest
 from gamma4.bounds import (clasp_number, classify, classify_all,
                            sig_arf_obstruction, upper_from_clasp)
 from gamma4.errors import InconsistencyError
-from gamma4.knotio import SLICE, BandMoveCertificate, KnotRecord
+from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS, SLICE,
+                           BandMoveCertificate, KnotRecord, load_certificates,
+                           load_dataset)
 from gamma4.linkform import (NOT_OBSTRUCTED, OBSTRUCTED, RULE_MOBIUS_CYCLIC,
                              ObstructionVerdict)
 
@@ -283,3 +285,21 @@ def test_classify_all_checks_a_claim_against_an_undetermined_lower():
     with pytest.raises(InconsistencyError,
                        match="b -> a claims .* proved gamma4 >= 2"):
         classify_all(records, {}, [cert(source="b", target="a")])
+
+
+def test_classify_all_checks_a_slice_claim_against_the_slice_flag(tmp_path):
+    # a is not flagged slice (and sig-arf proves gamma4(a) >= 2), so the
+    # ledger's claim that B moves to a slice knot a is false
+    knots = tmp_path / "knots.csv"
+    knots.write_text(",".join(DATASET_COLUMNS) + "\na,11,,-4,0,,,,,,,,,false,,\n")
+    certs = tmp_path / "certificates.csv"
+    certs.write_text(",".join(CERTIFICATE_COLUMNS) + "\nB,0,a,slice,fig\n")
+    records, ledger = load_dataset(knots), load_certificates(certs)
+    with pytest.raises(InconsistencyError,
+                       match="B -> a claims the target is slice but the "
+                             "dataset does not flag it slice"):
+        classify_all(records, {}, ledger)
+    flagged = [rec(name="a", slice=True)]
+    assert classify_all(flagged, {}, ledger)["a"].upper == 1
+    # a slice claim onto a knot outside the dataset is still trusted
+    assert classify_all([rec(name="B")], {}, ledger)["B"].upper == 1

@@ -183,6 +183,18 @@ def test_classify_rejects_surplus_cells(capsys, tmp_path):
     assert "rejected rows: row 2: 1 cell(s) beyond the 16-column header" in err
 
 
+def test_classify_slice_claim_onto_an_unflagged_knot_exits_4(capsys, tmp_path):
+    knots = tmp_path / "knots.csv"
+    knots.write_text(",".join(DATASET_COLUMNS) + "\na,11,,-4,0,,,,,,,,,false,,\n")
+    certs = tmp_path / "certificates.csv"
+    certs.write_text("source,h,target,target_gamma4,figure_ref\nB,0,a,slice,fig\n")
+    code, _out, err = run(capsys, "classify", "--dataset", str(knots),
+                          "--certificates", str(certs),
+                          "--out", str(tmp_path / "r.json"))
+    assert code == 4
+    assert "B -> a claims the target is slice" in err
+
+
 def test_classify_empty_dataset(capsys, tmp_path):
     header = ("name,crossings,pd,signature,arf,g4,u_lo,u_hi,us_lo,us_hi,"
               "c4_lo,c4_hi,crosscap_hi,slice,determinant,definiteness\n")

@@ -1,11 +1,14 @@
-"""Exact linear algebra: determinants, inverses, Smith form, signatures.
+"""Exact integer linear algebra: determinants, inverses, Smith form,
+signatures.
 
 Oracles are independent of the implementation paths they check: cofactor
 expansion against Bareiss elimination, Jacobi's leading-minor sign rule
 against congruence diagonalization, sympy's inverse against fraction-free
-Gauss-Jordan.  The integer kernels are also held to the plain ``Fraction``
-algorithms below (Gauss-Jordan inverse, product, rational congruence
-signature): equal values and equal element types.
+Gauss-Jordan.  The integer kernels are also held to the plain algorithms
+they replaced (Gauss-Jordan over ``Fraction`` in conftest, the product,
+rational congruence signature): equal values, and ints out of every
+kernel.  ``inverse`` returns (N, d) with m*N = d*I and d = |det m|; the
+tests compare N/d.  Non-integer entries are rejected with TypeError.
 """
 
 import random
@@ -14,9 +17,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
 
-from conftest import fan_goeritz_matrices
+from conftest import (checked_inverse, fan_goeritz_matrices,
+                      reference_inverse, sympy_inverse)
 from gamma4.exactalg import (SNFResult, det, identity, inverse,
                              mat_mul, mat_transpose, require_square,
                              signature, smith_normal_form)
@@ -61,29 +64,7 @@ def is_unimodular(m):
     return abs(det(m)) == 1
 
 
-# the plain Fraction algorithms the integer kernels replace -----------------
-
-
-def reference_inverse(m):
-    """Gauss-Jordan over Fraction."""
-    n = require_square(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix has no inverse")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+# the plain algorithms the integer kernels replace ----------------------------
 
 
 def reference_mat_mul(a, b):
@@ -129,6 +110,10 @@ def typed(m):
     return [[(type(x), x) for x in row] for row in m]
 
 
+def integral(m):
+    return all(type(x) is int for row in m for x in row)
+
+
 def outcome(f, *args):
     """f's result, or the type and text of the ValueError it raised."""
     try:
@@ -159,6 +144,7 @@ def test_det_printed_goeritz_matrix():
 def test_det_identity_and_empty():
     assert det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
     assert det([]) == 1
+    assert type(det([[2, 1], [1, 1]])) is int
 
 
 def test_det_agrees_with_cofactor_oracle():
@@ -181,41 +167,12 @@ def test_det_rejects_nonsquare():
         det([[1, 2, 3], [4, 5, 6]])
 
 
-def test_det_of_rational_input_is_a_fraction():
-    assert det([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
-    assert type(det([[Fraction(4, 2)]])) is Fraction
-    assert type(det([[2, 1], [1, 1]])) is int
-
-
-@st.composite
-def rational_matrices(draw):
-    """Square rational matrices up to 5x5; about half of them are made
-    singular by replacing the last row with a rational combination of the
-    others (or with zeros at n = 1)."""
-    n = draw(st.integers(1, 5))
-    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
-    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                      min_size=n, max_size=n))
-    if draw(st.booleans()):
-        coeffs = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
-        m[-1] = [sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
-                 for j in range(n)]
-    return m
-
-
-@given(rational_matrices())
-def test_det_matches_sympy_on_rational_matrices(m):
-    expected = Matrix(m).det()
-    got = det(m)
-    assert type(got) is Fraction
-    assert got == Fraction(int(expected.p), int(expected.q))
-
-
 # inverses ---------------------------------------------------------------
 
 
 def test_inverse_printed_matrix_matches_published_entries():
-    inv = inverse(GOERITZ_11N155)
+    assert inverse(GOERITZ_11N155)[1] == 51
+    inv = checked_inverse(GOERITZ_11N155)
     assert inv[0][0] == Fraction(20, 51)
     assert inv[0][1] == Fraction(2, 17)
     assert inv[0][2] == Fraction(10, 51)
@@ -224,7 +181,10 @@ def test_inverse_printed_matrix_matches_published_entries():
 
 
 def test_inverse_trivial_and_singular():
-    assert inverse([[3]]) == [[Fraction(1, 3)]]
+    assert inverse([[3]]) == ([[1]], 3)
+    assert inverse([[-3]]) == ([[-1]], 3)
+    assert inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+    assert inverse([]) == ([], 1)
     with pytest.raises(ValueError):
         inverse([[1, 1], [1, 1]])
 
@@ -237,9 +197,7 @@ def test_inverse_exactness_sweep():
         m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         if det(m) == 0:
             continue
-        prod = mat_mul(m, inverse(m))
-        assert prod == [[Fraction(int(i == j)) for j in range(n)]
-                        for i in range(n)]
+        assert checked_inverse(m) == reference_inverse(m)
         done += 1
 
 
@@ -378,17 +336,12 @@ def square_matrices(draw, symmetric=False):
 
 
 @settings(max_examples=250, deadline=None)
-@given(square_matrices(), st.one_of(st.none(), st.integers(1, 12)))
-def test_inverse_matches_fraction_gauss_jordan(m, denominator):
-    """Integer input, or with a denominator the rational m / (d + column)."""
-    singular = det(m) == 0
-    if denominator is not None:
-        m = [[Fraction(x, denominator + i) for i, x in enumerate(row)]
-             for row in m]
-    if singular:
+@given(square_matrices())
+def test_inverse_matches_fraction_gauss_jordan(m):
+    if det(m) == 0:
         assert outcome(inverse, m) == outcome(reference_inverse, m)
     else:
-        assert typed(inverse(m)) == typed(reference_inverse(m))
+        assert checked_inverse(m) == reference_inverse(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -405,16 +358,12 @@ def matrices(rows, cols, entry):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data())
 def test_mat_mul_matches_fraction_product(rows, inner, cols, data):
+    """The product of integer matrices; the reference's sums are exact."""
     entry = st.integers(-50, 50)
     a = data.draw(matrices(rows, inner, entry))
     b = data.draw(matrices(inner, cols, entry))
-    fa = [[Fraction(x, d) for x, d in zip(row, dens)] for row, dens
-          in zip(a, data.draw(matrices(rows, inner, st.integers(1, 30))))]
-    fb = [[Fraction(x, d) for x, d in zip(row, dens)] for row, dens
-          in zip(b, data.draw(matrices(inner, cols, st.integers(1, 30))))]
-    for left, right in ((a, b), (fa, b), (a, fb), (fa, fb)):
-        assert typed(mat_mul(left, right)) == typed(reference_mat_mul(left, right))
-    assert all(type(x) is int for row in mat_mul(a, b) for x in row)
+    assert typed(mat_mul(a, b)) == typed(reference_mat_mul(a, b))
+    assert integral(mat_mul(a, b))
 
 
 SINGULAR = [
@@ -445,15 +394,18 @@ def bundled_goeritz_matrices(dataset):
 
 
 def check_kernels_on_goeritz(g):
-    ginv = inverse(g)
-    assert typed(ginv) == typed(reference_inverse(g))
+    assert checked_inverse(g) == reference_inverse(g)
     assert signature(g) == reference_signature(g)
-    w = inverse(smith_normal_form(g).U)
+    u = smith_normal_form(g).U
+    w, one = inverse(u)
+    assert one == 1 and checked_inverse(u) == reference_inverse(u)
+    ginv, _ = inverse(g)
     wt = mat_transpose(w)
     inner = mat_mul(ginv, w)
     assert typed(inner) == typed(reference_mat_mul(ginv, w))
     assert typed(mat_mul(wt, inner)) == typed(reference_mat_mul(wt, inner))
     assert typed(mat_mul(g, g)) == typed(reference_mat_mul(g, g))
+    assert integral(inner) and integral(mat_mul(wt, inner))
 
 
 def test_kernels_match_references_on_bundled_goeritz_matrices(dataset):
@@ -470,19 +422,30 @@ def test_kernels_match_references_on_fan_medials_up_to_dimension_16():
         check_kernels_on_goeritz(g)
 
 
-def sympy_inverse(m):
-    inv = Matrix(m).inv()
-    return [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(len(m))]
-            for i in range(len(m))]
-
-
 @settings(max_examples=60, deadline=None)
 @given(square_matrices())
 def test_inverse_matches_sympy(m):
     if det(m) != 0:
-        assert inverse(m) == sympy_inverse(m)
+        assert checked_inverse(m) == sympy_inverse(m)
 
 
 def test_inverse_matches_sympy_on_goeritz_matrices(dataset):
     for g in bundled_goeritz_matrices(dataset) + fan_goeritz_matrices():
-        assert inverse(g) == sympy_inverse(g)
+        assert checked_inverse(g) == sympy_inverse(g)
+
+
+# non-integer input ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0])
+def test_kernels_reject_non_integer_entries(entry):
+    """A Fraction or float entry, integral-valued or not, raises TypeError
+    in every kernel instead of being floor-divided."""
+    m = [[entry, 1], [1, 3]]
+    for kernel in (det, inverse, signature, smith_normal_form):
+        with pytest.raises(TypeError):
+            kernel(m)
+    with pytest.raises(TypeError):
+        mat_mul(m, identity(2))
+    with pytest.raises(TypeError):
+        mat_mul(identity(2), m)

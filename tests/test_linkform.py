@@ -8,6 +8,7 @@ reference for the nondegeneracy rule, which never enumerates.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -17,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, factorint
 
-from conftest import cyclic_form, fan_goeritz_matrices
+from conftest import cyclic_form, fan_goeritz_matrices, sympy_inverse
 from gamma4.errors import DiagramError
-from gamma4.exactalg import det, inverse, smith_normal_form
+from gamma4.exactalg import det, smith_normal_form
 from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              NOT_OBSTRUCTED, OBSTRUCTED,
                              definiteness_consistency, factorize,
@@ -38,9 +39,9 @@ def gd_of(matrix):
 
 def coker_selfpairings(g):
     """Multiset of self-pairings x^T G^{-1} x mod 1 over all of coker(G),
-    computed without the Smith transport."""
+    computed without the Smith transport, with G^{-1} from sympy."""
     n = len(g)
-    ginv = inverse(g)
+    ginv = sympy_inverse(g)
 
     def in_image(vec):
         # solve g * z = vec over the rationals; in the image iff z integral
@@ -232,6 +233,25 @@ def test_sign_flip_negates_values_but_not_verdicts():
         assert g.self_value() == (-f.self_value()) % 1
         assert (mobius_obstruction_cyclic(f).result
                 == mobius_obstruction_cyclic(g).result)
+
+
+def test_fix_sign_constructs_and_validates_the_signed_form_once(monkeypatch):
+    form = LinkingForm(group=FiniteAbelianGroup((3, 9)),
+                       values=((Fraction(1, 3), Fraction(1, 3)),
+                               (Fraction(1, 3), Fraction(1, 9))))
+    negated = form.negated()
+    assert not negated.sign_fixed
+    assert negated.values == ((Fraction(2, 3), Fraction(2, 3)),
+                              (Fraction(2, 3), Fraction(8, 9)))
+    validations = []
+    validate = LinkingForm.__post_init__
+    monkeypatch.setattr(LinkingForm, "__post_init__",
+                        lambda self: validations.append(validate(self)))
+    for sign, expected in ((1, form), (-1, negated)):
+        validations.clear()
+        fixed = form.fix_sign(sign)
+        assert len(validations) == 1
+        assert fixed == replace(expected, sign_fixed=True)
 
 
 # --- generator orbit ---------------------------------------------------------
