@@ -6,7 +6,8 @@ Subcommands:
 * ``linkform``   -- homology, linking form and the square class of the
   generator self-linkings for a knot
 * ``obstruct``   -- obstruction verdicts for one knot
-* ``classify``   -- classify a dataset and write the JSON report
+* ``classify``   -- classify a dataset and write the JSON report (to
+  ``--out``, or alone on stdout with the status lines on stderr)
 * ``verify-theorem`` -- assert the expected 121/58/6 split of the bundled
   11-crossing non-alternating classification
 
@@ -163,6 +164,8 @@ def cmd_classify(args):
         _dataset_path(args), _certificates_path(args),
         enable_klein=args.enable_klein, sign_convention=args.sign_convention)
     text = pipeline.report_json(entries, metadata)
+    # a report on stdout is the only thing there, so it parses as JSON
+    status = sys.stdout if args.out else sys.stderr
     if args.out:
         Path(args.out).write_text(text)
         print(f"report written to {args.out}")
@@ -170,10 +173,10 @@ def cmd_classify(args):
         print(text, end="")
     if args.summary_csv:
         Path(args.summary_csv).write_text(pipeline.summary_csv(entries))
-        print(f"summary CSV written to {args.summary_csv}")
+        print(f"summary CSV written to {args.summary_csv}", file=status)
     summary = pipeline.summarize(entries)
     print(f"knots: {summary['total']}  determined: {summary['determined']}  "
-          f"undetermined: {summary['undetermined']}")
+          f"undetermined: {summary['undetermined']}", file=status)
     if not summary["slice_all_at_1"]:
         raise InconsistencyError("a slice knot classified away from [1,1]")
     return EXIT_OK

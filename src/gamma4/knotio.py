@@ -22,6 +22,7 @@ is the ledger of non-oriented band moves ``source --h--> target``.
 import csv
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError, PDSemanticError, PDSyntaxError
@@ -39,6 +40,11 @@ class PDCode:
     @property
     def edge_count(self):
         return 2 * len(self.crossings)
+
+    @cached_property
+    def directions(self):
+        """:func:`over_directions` of this diagram, computed once."""
+        return tuple(over_directions(self))
 
 
 _PD_RE = re.compile(r"^PD\[(.*)\]$")
@@ -110,7 +116,7 @@ def validate_pd(pd):
         if c != _successor(a, edges):
             raise PDSemanticError(
                 f"under-strand exits at {c}, expected successor of {a}", crossing=i)
-    over_directions(pd)  # raises if over-strand orientation cannot be resolved
+    pd.directions  # raises if over-strand orientation cannot be resolved
 
 
 def over_directions(pd):

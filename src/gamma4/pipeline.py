@@ -14,7 +14,9 @@ The intervals, band-move certificates included, come from
 The report is fully deterministic: entries are sorted by knot name, all
 values are exact (fractions rendered as strings), and the metadata block
 records the convention calibration and input digests, so re-running on the
-same inputs reproduces the same bytes.
+same inputs reproduces the same bytes.  Its top level is indented; each
+knot is one compact, sorted-key line, so a diff shows one line per changed
+knot.
 """
 
 import hashlib
@@ -239,14 +241,21 @@ def entry_dict(e):
     return out
 
 
+# no ``indent``, so ``encode`` takes json's C path
+_KNOT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def report_json(entries, metadata):
-    """Canonical report serialization (stable bytes for stable inputs)."""
-    doc = {
-        "metadata": metadata,
-        "summary": summarize(entries),
-        "knots": [entry_dict(e) for e in entries],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical report serialization (stable bytes for stable inputs):
+    metadata and summary indented by 2, each knot one compact, sorted-key
+    line inside ``"knots": [...]``."""
+    rest = json.dumps({"metadata": metadata, "summary": summarize(entries)},
+                      indent=2, sort_keys=True)
+    knots = ",\n".join("    " + _KNOT_ENCODER.encode(entry_dict(e))
+                       for e in entries)
+    knots = f"[\n{knots}\n  ]" if entries else "[]"
+    # "knots" sorts before the other keys, so it opens the object
+    return f'{{\n  "knots": {knots},\n{rest[2:]}\n'
 
 
 def summary_csv(entries):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import exactalg
 from .errors import DiagramError, InconsistencyError
-from .knotio import PDCode, over_directions
+from .knotio import PDCode
 
 WHITE = "white"
 BLACK = "black"
@@ -200,7 +200,7 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
     white_faces = [outer] + [k for k in range(nfaces) if colors[k] == WHITE and k != outer]
     white_index = {k: i for i, k in enumerate(white_faces)}
 
-    over_dir = over_directions(pd)
+    over_dir = pd.directions
     crossing_white = []
     etas = []
     types = []

@@ -133,6 +133,18 @@ def test_classify_writes_deterministic_report(capsys, tmp_path):
     assert first["bounds"] == {"lower": 1, "upper": 1, "gamma_bar_upper": 5}
 
 
+def test_classify_to_stdout_prints_only_the_report(capsys):
+    code, out, err = run(capsys, "classify")
+    assert code == 0
+    from gamma4 import pipeline
+    from gamma4.cli import bundled
+    entries, metadata = pipeline.run_classification(
+        bundled("knots.csv"), bundled("certificates.csv"))
+    json.loads(out)
+    assert out == pipeline.report_json(entries, metadata)
+    assert "knots: 185" in err
+
+
 def test_classify_summary_csv(capsys, tmp_path):
     out = tmp_path / "summary.csv"
     code, _o, _e = run(capsys, "classify", "--summary-csv", str(out),

@@ -282,3 +282,62 @@ def test_bundled_summary_csv_digest(classification):
     summary = pipeline.summary_csv(classification[0])
     assert hashlib.sha256(summary.encode()).hexdigest() == (
         "68f1e18d0f228c923f8c9ed11ababd709462897d846e034643f332023f88e3fc")
+
+
+def test_bundled_report_has_one_line_per_knot(classification):
+    entries, metadata = classification
+    lines = pipeline.report_json(entries, metadata).splitlines()
+    start = lines.index('  "knots": [')
+    knot_lines = lines[start + 1:start + 1 + len(entries)]
+    assert lines[start + 1 + len(entries)] == "  ],"
+    for e, line in zip(entries, knot_lines, strict=True):
+        assert line.startswith("    {")
+        assert json.loads(line.removesuffix(",")) == pipeline.entry_dict(e)
+    assert sum(line.startswith("    {") for line in lines) == len(entries)
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"sign_convention": "fixed-"}, {"enable_klein": True}])
+def test_report_parses_to_the_indented_document(knots_csv, certificates_csv,
+                                                options):
+    entries, metadata = pipeline.run_classification(knots_csv,
+                                                    certificates_csv, **options)
+    doc = {"metadata": metadata, "summary": pipeline.summarize(entries),
+           "knots": [pipeline.entry_dict(e) for e in entries]}
+    assert json.loads(pipeline.report_json(entries, metadata)) == json.loads(
+        json.dumps(doc, indent=2, sort_keys=True))
+
+
+def test_empty_report_renders_an_empty_knots_list(tmp_path):
+    knots = write_rows(tmp_path / "knots.csv", HEADER, [])
+    certs = write_rows(tmp_path / "certificates.csv", CERT_HEADER, [])
+    text = pipeline.report_json(*pipeline.run_classification(knots, certs))
+    assert '  "knots": [],\n' in text
+    doc = json.loads(text)
+    assert doc["knots"] == [] and doc["summary"]["total"] == 0
+
+
+def test_over_directions_runs_once_per_diagram(dataset):
+    """Parsing resolves the directions; every checkerboard coloring,
+    the nugatory retry included, reads the same ones.  A profile hook
+    counts the calls however a module imported the function."""
+    import sys
+    from conftest import connect_sum, torus2
+    from gamma4.knotio import KnotRecord, over_directions, parse_pd
+    calls = []
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code is over_directions.__code__:
+            calls.append(frame)
+
+    kinked = connect_sum(torus2(3), parse_pd("PD[X[1,1,2,2]]"))
+    texts = [render_pd(rec.pd) for rec in dataset if rec.pd is not None]
+    for text in texts + [render_pd(kinked)]:
+        calls.clear()
+        sys.setprofile(count)
+        try:
+            rec = KnotRecord(name="k", crossings=11, pd=parse_pd(text))
+            pipeline.analyze_diagram(rec, 1)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1, text
