@@ -11,10 +11,15 @@ only ``linkform`` turns such pairs into Q/Z values.
 Elimination is fraction-free: ``det`` and ``inverse`` divide exactly by
 the previous pivot (Bareiss), so their intermediate entries are minors of
 the input, and ``signature`` divides each trailing block by its content.
-``smith_normal_form`` eliminates on one augmented matrix holding U beside
-D and V below it, so each row or column operation is written once and
-carries its transform along.  Coefficient growth stays polynomial at the
-Goeritz dimensions the pipeline meets (tens of rows).
+``inverse`` runs Gauss-Jordan on ``[A | I]`` in place in one n x n array:
+a finished pivot column is known to be p*I, so its slot takes the
+matching column of the right block, a row whose pivot-column entry is 0
+is only rescaled, and the row swaps are undone on the columns once at the
+end.  ``smith_normal_form`` eliminates on one augmented matrix holding U
+beside D and V below it, so each row or column operation is written once
+and carries its transform along; its pivot search stops at the first
+unit.  Coefficient growth stays polynomial at the Goeritz dimensions the
+pipeline meets (tens of rows).
 """
 
 from dataclasses import dataclass
@@ -120,33 +125,53 @@ def inverse(m):
     """A^-1 = N/d of an integer matrix A as the integer pair (N, d) with
     A*N = d*I and d = |det A| > 0, by fraction-free (Bareiss) Gauss-Jordan.
 
-    ``[A | I]`` is eliminated over the integers, every other row at every
-    step, dividing exactly by the previous pivot; the left block ends as
-    p*I with p = +-det(A) and the right block as p*A^-1.
+    The elimination of ``[A | I]`` runs in place on one n x n array.  Once
+    column ``col`` is eliminated, the left block's columns <= col read p*I
+    and the right block's columns > col are still p times unit columns (p
+    the current pivot), so neither is stored: slot j holds the right
+    block's column for j <= col and the left block's beyond.  At step
+    ``col`` every other row becomes ``(pivot*x - f*y) // prev``, f its
+    pivot-column entry, and its slot ``col`` takes -f, the entry of the
+    new right-block column; the pivot row's slot ``col`` takes ``prev``.
+    A row with f = 0 is only rescaled, and left alone when the pivot
+    repeats.  Row swaps move the unit columns, so they are recorded in
+    ``perm`` and undone on the columns once at the end.  The array then
+    holds p*A^-1 with p = +-det(A), negated when the last pivot is
+    negative.
 
     Raises ValueError on a singular matrix.
     """
     n = require_square(m)
-    rows = [row + [int(i == j) for j in range(n)]
-            for i, row in enumerate(integer_copy(m))]
+    a = integer_copy(m)
+    perm = list(range(n))
     prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
         if pivot_row is None:
             raise ValueError("singular matrix has no inverse")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        top = rows[col]
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+        top = a[col]
         pivot = top[col]
-        for r in range(n):
-            if r != col:
-                f = rows[r][col]
-                # Sylvester's identity makes every division exact.
-                rows[r] = [(pivot * x - f * y) // prev
-                           for x, y in zip(rows[r], top)]
+        for r, row in enumerate(a):
+            f = row[col]
+            if f:
+                if r != col:
+                    # Sylvester's identity makes every division exact.
+                    row = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+                    row[col] = -f
+                    a[r] = row
+            elif pivot != prev:
+                a[r] = [pivot * x // prev for x in row]
+        top[col] = prev
         prev = pivot
+    # slot j holds the right block's column perm[j]
+    place = [0] * n
+    for j, c in enumerate(perm):
+        place[c] = j
     if prev < 0:
-        return [[-x for x in row[n:]] for row in rows], -prev
-    return [row[n:] for row in rows], prev
+        return [[-row[j] for j in place] for row in a], -prev
+    return [[row[j] for j in place] for row in a], prev
 
 
 @dataclass
@@ -177,7 +202,9 @@ def smith_normal_form(m):
     step) carries U along with D, and a column operation, applied to the
     entries < cols of every row, carries V; U, D and V are sliced out at
     the end.  Pivots are chosen by smallest nonzero absolute value, which
-    keeps coefficient growth tame at the sizes we meet.
+    keeps coefficient growth tame at the sizes we meet: the first such
+    entry in row-major order, so the search stops at the first entry of
+    absolute value 1, which nothing can beat.
     """
     rows, cols = dimensions(m)
     a = [row + unit for row, unit
@@ -189,10 +216,21 @@ def smith_normal_form(m):
             row[j2] -= q * row[j1]
 
     def smallest_pivot(t):
-        # the first entry of least nonzero |value| in row-major order
-        best = min(((abs(x), i, j) for i in range(t, rows)
-                    for j, x in enumerate(a[i][t:cols], t) if x), default=None)
-        return best[1:] if best else None
+        # the first entry of least nonzero |value| in row-major order; a
+        # unit cannot be beaten, so the search stops at the first one
+        least, at = 0, None
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x:
+                    if x == 1 or x == -1:
+                        return i, j
+                    if x < 0:
+                        x = -x
+                    if not least or x < least:
+                        least, at = x, (i, j)
+        return at
 
     # Re-selecting the globally smallest entry as pivot on every pass keeps
     # coefficient growth tame; leftover division remainders feed the next

@@ -153,7 +153,12 @@ def _largest_face(fs, candidates):
 
 
 class _NugatoryCrossing(DiagramError):
-    """Both white quadrants of a crossing lie on one face."""
+    """Both white quadrants of a crossing lie on one face; ``colors`` is
+    the face coloring under which they do."""
+
+    def __init__(self, message, crossing, colors):
+        super().__init__(message, crossing=crossing)
+        self.colors = colors
 
 
 def _face_colors(fs: FaceSet, outer):
@@ -213,7 +218,8 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
         w1, w2 = (f1, f3) if white_is_13 else (f0, f2)
         if w1 == w2:
             raise _NugatoryCrossing(
-                "nugatory crossing: white quadrants share a face", crossing=c)
+                "nugatory crossing: white quadrants share a face", crossing=c,
+                colors=colors)
         crossing_white.append((white_index[w1], white_index[w2]))
         etas.append(ETA_SIGN if white_is_13 else -ETA_SIGN)
         # both strands run white-to-white; they do so in the same rotational
@@ -258,11 +264,11 @@ def goeritz(pd: PDCode, outer=None) -> GoeritzData:
     fs = faces(pd)
     try:
         col = checkerboard(pd, fs, outer=outer)
-    except _NugatoryCrossing:
+    except _NugatoryCrossing as err:
         if outer is not None:
             raise
-        colors = _face_colors(fs, default_outer_face(fs))
-        other = _largest_face(fs, [k for k, c in enumerate(colors) if c == BLACK])
+        other = _largest_face(fs, [k for k, c in enumerate(err.colors)
+                                   if c == BLACK])
         col = checkerboard(pd, fs, outer=other)
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 from sympy import Matrix
 
 from gamma4.errors import DiagramError
@@ -100,6 +101,24 @@ def fan_goeritz_matrices():
            for dim, seed in ((5, 2), (8, 5), (11, 1), (13, 3), (16, 0), (16, 2))]
     pds.append(connect_sum(mixed_fan_pd(5, 2), mixed_fan_pd(8, 1)))
     return [goeritz(pd).g for pd in pds]
+
+
+@st.composite
+def square_matrices(draw, symmetric=False):
+    """Integer matrices up to 8x8, zero-heavy so that leading pivots vanish
+    and force swaps (or folds), with determinants of both signs; on request
+    the leading column is zeroed down to a drawn row."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    for i in range(draw(st.integers(0, n - 1))):
+        m[i][0] = 0
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif draw(st.booleans()):
+        m[0] = [-x for x in m[0]]
+    return m
 
 
 # inverses as rationals ------------------------------------------------------

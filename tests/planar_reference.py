@@ -183,7 +183,8 @@ def checkerboard(pd, fs, outer=None):
         pair = (qf[1], qf[3]) if white_is_13 else (qf[0], qf[2])
         if pair[0] == pair[1]:
             raise _NugatoryCrossing(
-                "nugatory crossing: white quadrants share a face", crossing=c)
+                "nugatory crossing: white quadrants share a face", crossing=c,
+                colors=colors)
         crossing_white.append((white_index[pair[0]], white_index[pair[1]]))
         etas.append(planar.ETA_SIGN * (1 if white_is_13 else -1))
         parallel = white_is_13 == (over_dir[c] == -1)

@@ -11,6 +11,7 @@ kernel.  ``inverse`` returns (N, d) with m*N = d*I and d = |det m|; the
 tests compare N/d.  Non-integer entries are rejected with TypeError.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (checked_inverse, fan_goeritz_matrices,
-                      reference_inverse, sympy_inverse)
+                      reference_inverse, square_matrices, sympy_inverse)
 from gamma4.exactalg import (SNFResult, det, identity, inverse,
                              mat_mul, mat_transpose, require_square,
                              signature, smith_normal_form)
@@ -317,24 +318,6 @@ def test_signature_invariant_under_unimodular_congruence():
 # the integer kernels against the Fraction algorithms --------------------------
 
 
-@st.composite
-def square_matrices(draw, symmetric=False):
-    """Integer matrices up to 8x8, zero-heavy so that leading pivots vanish
-    and force swaps (or folds), with determinants of both signs; on request
-    the leading column is zeroed down to a drawn row."""
-    n = draw(st.integers(1, 8))
-    entry = st.one_of(st.just(0), st.integers(-9, 9))
-    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                      min_size=n, max_size=n))
-    for i in range(draw(st.integers(0, n - 1))):
-        m[i][0] = 0
-    if symmetric:
-        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    elif draw(st.booleans()):
-        m[0] = [-x for x in m[0]]
-    return m
-
-
 @settings(max_examples=250, deadline=None)
 @given(square_matrices())
 def test_inverse_matches_fraction_gauss_jordan(m):
@@ -432,6 +415,32 @@ def test_inverse_matches_sympy(m):
 def test_inverse_matches_sympy_on_goeritz_matrices(dataset):
     for g in bundled_goeritz_matrices(dataset) + fan_goeritz_matrices():
         assert checked_inverse(g) == sympy_inverse(g)
+
+
+# arguments are left alone ---------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(), st.data())
+def test_no_kernel_mutates_its_argument(m, data):
+    """``analyze_diagram`` hands one Goeritz matrix to several kernels, so a
+    kernel that eliminated in its argument would corrupt the later calls.
+    Each argument deep-equals its snapshot after the call, on singular
+    input (which raises) as well."""
+    n = len(m)
+    sym = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    wide = data.draw(matrices(n, data.draw(st.integers(1, 8)),
+                              st.integers(-9, 9)))
+    calls = [(det, m), (inverse, m), (smith_normal_form, m),
+             (smith_normal_form, wide), (signature, sym), (mat_mul, m, wide),
+             (mat_mul, wide, identity(len(wide[0])))]
+    for kernel, *args in calls:
+        snapshot = copy.deepcopy(args)
+        try:
+            kernel(*args)
+        except ValueError:
+            pass
+        assert args == snapshot, kernel.__name__
 
 
 # non-integer input ----------------------------------------------------------

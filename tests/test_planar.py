@@ -2,7 +2,9 @@
 
 import pytest
 
+import planar_reference
 from conftest import TREFOIL_PD, anchor_knots, connect_sum, mirror, torus2
+from gamma4 import planar
 from gamma4.errors import DiagramError
 from gamma4.exactalg import det, is_symmetric
 from gamma4.knotio import parse_pd
@@ -101,6 +103,23 @@ def test_kink_summand_leaves_the_trefoil_unchanged():
     gd = goeritz(connect_sum(torus2(3), parse_pd("PD[X[1,1,2,2]]")))
     assert abs(det(gd.g)) == 3
     assert signature_via_goeritz(gd) == -2
+
+
+def test_nugatory_retry_reuses_the_default_coloring(monkeypatch):
+    """The retry takes the default coloring from the exception instead of
+    recomputing it: two colorings in all, the default and the retry's."""
+    pd = connect_sum(torus2(3), parse_pd("PD[X[1,1,2,2]]"))
+    expected = planar_reference.goeritz(pd)
+    outers = []
+    face_colors = planar._face_colors
+
+    def counted(fs, outer):
+        outers.append(outer)
+        return face_colors(fs, outer)
+
+    monkeypatch.setattr(planar, "_face_colors", counted)
+    assert goeritz(pd) == expected
+    assert len(outers) == 2 and outers[0] == default_outer_face(faces(pd))
 
 
 def test_explicit_outer_face_keeps_rejecting_nugatory_crossings():

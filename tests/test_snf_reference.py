@@ -1,10 +1,12 @@
 """The augmented-matrix Smith normal form against the mirrored-operation
 one it replaced, kept in ``snf_reference``: equal U, D and V entry for
-entry, on Goeritz matrices, singular full Goeritz matrices and small
-integer matrices of every shape."""
+entry, on Goeritz matrices, singular full Goeritz matrices, small integer
+matrices of every shape, and the pivot tie-breaks that the search's stop
+at the first unit must keep."""
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +51,27 @@ def test_fan_and_mixed_fan_goeritz_matrices():
     for pd in pds:
         for m in goeritz_at_every_outer_face(pd):
             assert_same_snf(m)
+
+
+@pytest.mark.parametrize("m", [
+    # -1 before +1 in row-major order
+    [[3, -1], [1, 4]],
+    [[0, 5, -1], [1, 0, 2], [2, 1, 7]],
+    # 2 before 1 in the same row
+    [[2, 1, 3], [4, 5, 6]],
+    [[0, 2, 4, 1], [1, 3, 0, 2]],
+    # a 1 in a later row than an earlier 2
+    [[2, 4, 6], [3, 1, 5]],
+    [[2, 3], [4, 6], [5, 1]],
+    # a trailing block whose first row is all zero
+    [[1, 0, 0], [0, 0, 0], [0, 2, 3]],
+    [[1, 2, 3], [2, 4, 6], [0, 2, 5]],
+    [[0, 0, 0], [0, 2, -1], [0, 1, 3]],
+])
+def test_pivot_tie_breaks(m):
+    """The first entry of least |value| in row-major order is the pivot,
+    whether or not it is a unit."""
+    assert_same_snf(m)
 
 
 def low_rank(rng, rows, cols, rank, bound):
