@@ -138,9 +138,7 @@ def cmd_linkform(args):
         print(f"  lambda(g{i}, .) = " + "  ".join(str(x) for x in row))
     if group.is_cyclic:
         print("  square class of k, lambda(g0, g0) = k/n: " + ", ".join(
-            f"k mod {2 ** min(group.order_factors[2], 3)} = {c}" if p == 2
-            else f"(k/{p}) = {c:+d}"
-            for p, c in sorted(square_class(form).items())))
+            f"(k/{p}) = {c:+d}" for p, c in sorted(square_class(form).items())))
     return EXIT_OK
 
 

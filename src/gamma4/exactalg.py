@@ -241,8 +241,9 @@ def smith_normal_form(m):
     while t < min(rows, cols) and (at := smallest_pivot(t)):
         i0, j0 = at
         a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
+        if j0 != t:
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
         top = a[t]
         dirty = False
         for i in range(t + 1, rows):

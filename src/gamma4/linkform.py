@@ -11,16 +11,19 @@ the columns of U^{-1} descend to generators of coker(G) of orders given by
 the diagonal, and the form on them is the congruent transport of G^{-1}.
 Only the columns of order > 1 are carried through the products.  The
 matrix algebra stays in Z (``exactalg`` takes and returns integers only,
-G^{-1} as the pair (N, d) with G*N = d*I); this module is the one place
-where Q/Z values are built, one ``Fraction`` per entry of the form.
+G^{-1} as the pair (N, d) with G*N = d*I), and so does the form: it is
+stored as the integer matrix b_ij = lambda(g_i, g_j) * d_j mod d_j, and a
+``Fraction`` is built only where a value is rendered.
 
-The cyclic verdicts are square-class tests.  On Z_n with self-linking k/n
-the generator m*g self-links to m^2 k/n, so some generator self-links to
-+-1/n iff +k or -k is a unit square mod n.  With n factored once, that is
-Euler's criterion at each odd prime and a residue condition mod 4 or 8 at
-2.  A NotObstructed witness names the least such m, the minimum over the
-CRT combinations of the square roots modulo each prime power
-(Tonelli-Shanks and Hensel lifting); one modular multiplication checks it.
+The double branched cover of a knot has |H1| = |Delta(-1)|, which is odd,
+so a form is defined on groups of odd order only, and only odd primes
+occur below.  The cyclic verdicts are square-class tests.  On Z_n with
+self-linking k/n the generator m*g self-links to m^2 k/n, so some
+generator self-links to +-1/n iff +k or -k is a unit square mod n.  With n
+factored once, that is Euler's criterion at each prime.  A NotObstructed
+witness names the least such m, the minimum over the CRT combinations of
+the square roots modulo each prime power (Tonelli-Shanks and Hensel
+lifting); one modular multiplication checks it.
 Every verdict takes only the form and decides from the shape of H1, its
 order factored once, whether it applies.  Nothing here enumerates H1:
 nondegeneracy is decided from the form matrix one prime at a time, and
@@ -36,9 +39,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import index
 
 from . import exactalg
-from .errors import DiagramError
+from .errors import DiagramError, InconsistencyError
 
 OBSTRUCTED = "Obstructed"
 NOT_OBSTRUCTED = "NotObstructed"
@@ -95,50 +99,59 @@ class FiniteAbelianGroup:
 class LinkingForm:
     """Symmetric Q/Z-valued pairing on the chosen invariant-factor generators.
 
-    ``values[i][j]`` is lambda(g_i, g_j) reduced into [0, 1); it is
-    killed by the orders d_i and d_j of both generators.  While
-    ``sign_fixed`` is False the matrix is the +G^{-1} transport and its
-    global sign is still conventional; ``fix_sign`` stamps a choice.
+    ``b[i][j]`` is the integer lambda(g_i, g_j) * d_j reduced into
+    [0, d_j), for the orders d_j of the generators, so lambda(g_i, g_j) =
+    b_ij / d_j mod 1.  The group order must be odd: it is |Delta(-1)| for
+    the double branched cover of a knot, so an even order is an
+    inconsistency, not a case to handle.  While ``sign_fixed`` is False the
+    matrix is the +G^{-1} transport and its global sign is still
+    conventional; ``fix_sign`` stamps a choice.
     """
 
     group: FiniteAbelianGroup
-    values: tuple
+    b: tuple
     sign_fixed: bool = False
 
     def __post_init__(self):
         orders = self.group.invariant_factors
-        vals = tuple(tuple(Fraction(x) % 1 for x in row) for row in self.values)
-        if len(vals) != len(orders) or any(len(row) != len(orders) for row in vals):
+        if self.group.order % 2 == 0:
+            raise InconsistencyError(
+                f"linking form on {self.group}: the double branched cover of "
+                f"a knot has odd order")
+        rank = len(orders)
+        if len(self.b) != rank or any(len(row) != rank for row in self.b):
             raise ValueError("form matrix size does not match the group rank")
-        if any(vals[i][j] != vals[j][i]
-               for i in range(len(orders)) for j in range(i)):
+        b = tuple(tuple(index(x) % d for x, d in zip(row, orders))
+                  for row in self.b)
+        # b_ij / d_j = b_ji / d_i mod 1
+        if any((b[i][j] * orders[i] - b[j][i] * orders[j]) % (orders[i] * orders[j])
+               for i in range(rank) for j in range(i)):
             raise ValueError("linking form must be symmetric")
-        scaled = [[x * d for x, d in zip(row, orders)] for row in vals]
-        if any(x.denominator != 1 for row in scaled for x in row):
-            raise ValueError(
-                f"form denominators do not divide the generator orders {orders}")
-        object.__setattr__(self, "values", vals)
-        _check_nondegenerate(self.group, [[int(x) for x in row] for row in scaled])
+        object.__setattr__(self, "b", b)
+        _check_nondegenerate(self.group, b)
 
-    def _signed_values(self, sign):
-        return self.values if sign == 1 else tuple(
-            tuple((-x) % 1 for x in row) for row in self.values)
+    @property
+    def values(self):
+        """lambda(g_i, g_j) in [0, 1) as Fractions, for rendering."""
+        orders = self.group.invariant_factors
+        return tuple(tuple(Fraction(x, d) for x, d in zip(row, orders))
+                     for row in self.b)
+
+    def _signed_b(self, sign):
+        return self.b if sign == 1 else tuple(
+            tuple(-x for x in row) for row in self.b)
 
     def negated(self):
-        return replace(self, values=self._signed_values(-1))
+        return replace(self, b=self._signed_b(-1))
 
     def fix_sign(self, sign):
         """Return the form with the global sign resolved to +1 or -1,
         constructed (and so validated) once."""
-        return replace(self, values=self._signed_values(sign), sign_fixed=True)
+        return replace(self, b=self._signed_b(sign), sign_fixed=True)
 
     def self_value(self):
         """lambda(g, g) on the generator of a cyclic group."""
-        if not self.group.is_cyclic:
-            raise ValueError("self_value requires a cyclic group")
-        if self.group.is_trivial:
-            return Fraction(0)
-        return self.values[0][0]
+        return Fraction(_numerator(self), self.group.order)
 
 
 @dataclass(frozen=True)
@@ -175,8 +188,9 @@ def linking_form(gd) -> LinkingForm:
     With U*G*V = D, coker(G) is generated by the images of the columns of
     U^{-1}, the i-th of order D[i][i].  Only the r generators of order > 1
     are kept: with W the n x r matrix of those columns and G^{-1} = N/d,
-    the form is W^T*N*W / d mod 1, an integer n x r product, then an r x r
-    one, then one Fraction per entry.  A unimodular or empty G keeps none.
+    the form is P/d mod 1 for the integer product P = W^T*N*W (n x r, then
+    r x r), and b_ij = P_ij * d_j / d, exact because lambda(g_i, g_j) is
+    killed by the order d_j of g_j.  A unimodular or empty G keeps none.
     """
     g = gd.g
     keep = []
@@ -186,24 +200,24 @@ def linking_form(gd) -> LinkingForm:
         snf = exactalg.smith_normal_form(g)
         keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
     if not keep:
-        return LinkingForm(group=FiniteAbelianGroup(()), values=())
+        return LinkingForm(group=FiniteAbelianGroup(()), b=())
     u_inverse, _ = exactalg.inverse(snf.U)  # U is unimodular: d = 1
     w = [[row[i] for i in keep] for row in u_inverse]
     scaled_inverse, d = exactalg.inverse(g)  # G^{-1} = scaled_inverse / d
     products = exactalg.mat_mul(exactalg.mat_transpose(w),
                                 exactalg.mat_mul(scaled_inverse, w))
-    values = [[Fraction(x % d, d) for x in row] for row in products]
-    group = FiniteAbelianGroup(tuple(snf.diagonal[i] for i in keep))
-    return LinkingForm(group=group, values=values)
+    orders = tuple(snf.diagonal[i] for i in keep)
+    b = [[x * dj // d for x, dj in zip(row, orders)] for row in products]
+    return LinkingForm(group=FiniteAbelianGroup(orders), b=b)
 
 
-def _check_nondegenerate(group, scaled):
+def _check_nondegenerate(group, b):
     """Verify that the adjoint x -> lambda(x, .) is an automorphism.
 
     In the bases g_i and the dual characters of order d_j the adjoint is
-    the integer matrix B = ``scaled``, B_ij = lambda(g_i, g_j) * d_j.  On
+    the integer matrix b, b_ij = lambda(g_i, g_j) * d_j.  On
     the p-primary part it is an isomorphism iff it is onto mod p
-    (Nakayama), i.e. iff the minor of B on the generators whose order p
+    (Nakayama), i.e. iff the minor of b on the generators whose order p
     divides is nonzero mod p.  The rule runs at every order; on Z_n with
     lambda(g,g) = k/n it says gcd(k, n) = 1.  Nondegeneracy is a theorem
     for forms of nonsingular Goeritz matrices, so a failure here means an
@@ -212,7 +226,7 @@ def _check_nondegenerate(group, scaled):
     orders = group.invariant_factors
     for p in group.order_factors:
         first = next(i for i, d in enumerate(orders) if d % p == 0)
-        minor = [row[first:] for row in scaled[first:]]
+        minor = [row[first:] for row in b[first:]]
         value = minor[0][0] if len(minor) == 1 else exactalg.det(minor)
         if value % p == 0:
             raise ValueError(f"degenerate linking form on {group}: its "
@@ -227,7 +241,7 @@ def factorize(n):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1 if p == 2 else 2
+        p += 2 if p > 2 else 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -239,44 +253,32 @@ def generator_values(form: LinkingForm):
 
     O(|H1|); a reference for tests.  ``represents`` and ``square_class``
     decide the same questions from the factored order."""
-    if not form.group.is_cyclic:
-        raise ValueError("generator orbit requires a cyclic group")
-    if form.group.is_trivial:
-        return {Fraction(0)}
-    n = form.group.order
-    k = _numerator(form)
-    return {Fraction((m * m * k) % n, n)
-            for m in range(1, n + 1) if gcd(m, n) == 1}
+    v, n = form.self_value(), form.group.order
+    return {m * m * v % 1 for m in range(1, n + 1) if gcd(m, n) == 1}
 
 
 def _numerator(form):
-    """k with lambda(g, g) = k/n on the generator g of Z_n."""
-    v = form.self_value()
-    return v.numerator * (form.group.order // v.denominator)
+    """k with lambda(g, g) = k/n on the generator g of Z_n (k = 0 on Z_1)."""
+    if not form.group.is_cyclic:
+        raise ValueError("a cyclic group is required")
+    return form.b[0][0] if form.b else 0
 
 
-def _unit_square_class(c, factors):
-    """(p, class) for each p^e of n = prod p^e over ``factors``: the
-    Legendre symbol (c/p) of the unit c at odd p, c mod 2^min(e, 3) at 2.
-    Two units differ by a unit square iff their classes agree."""
-    for p, e in factors.items():
-        yield p, (c % 2 ** min(e, 3) if p == 2
-                  else 1 if pow(c, (p - 1) // 2, p) == 1 else -1)
-
-
-def _is_unit_square(c, factors):
-    """Whether the unit c is a square mod n = prod p^e over ``factors``."""
-    return all(cls == 1 for _p, cls in _unit_square_class(c, factors))
+def _legendre(c, p):
+    """Legendre symbol (c/p) of c prime to the odd prime p (Euler's
+    criterion).  A unit mod p^e is a square iff it is one mod p, so two
+    units mod n differ by a unit square iff their symbols agree at every
+    prime of n."""
+    return 1 if pow(c, (p - 1) // 2, p) == 1 else -1
 
 
 def square_class(form: LinkingForm):
-    """Square class {p: class} of k for lambda(g,g) = k/n on Z_n.
+    """Square class {p: (k/p)} of k for lambda(g,g) = k/n on Z_n.
 
     The generator self-linkings m^2 k/n form the coset of k in the units
     modulo their squares, so this names the whole orbit."""
-    n = form.group.order
-    return dict(_unit_square_class(_numerator(form) % n,
-                                   form.group.order_factors))
+    k = _numerator(form)
+    return {p: _legendre(k, p) for p in form.group.order_factors}
 
 
 def represents(form: LinkingForm, c):
@@ -284,9 +286,9 @@ def represents(form: LinkingForm, c):
 
     With lambda(g,g) = k/n, m^2 k = c has a unit root m iff c is a unit
     and c*k (= c k^-1 times the square k^2) is a unit square mod n."""
-    n = form.group.order
-    return gcd(c, n) == 1 and _is_unit_square(
-        c * _numerator(form) % n, form.group.order_factors)
+    k = _numerator(form)
+    return gcd(c, form.group.order) == 1 and all(
+        _legendre(c * k, p) == 1 for p in form.group.order_factors)
 
 
 def _sqrt_mod_prime(c, p):
@@ -313,19 +315,8 @@ def _sqrt_mod_prime(c, p):
 
 
 def _sqrts_mod_prime_power(c, p, e):
-    """All square roots of the unit square c mod p^e."""
+    """Both square roots of the unit square c mod p^e, p odd."""
     pe = p ** e
-    if p == 2:
-        if e < 3:
-            return [x for x in (1, 3) if x < pe]
-        # c = 1 mod 8; an odd root mod 2^i lifts to one mod 2^(i+1),
-        # possibly after adding 2^(i-1)
-        r = 1
-        for i in range(3, e):
-            if (r * r - c) % (1 << (i + 1)):
-                r += 1 << (i - 1)
-        half = pe // 2
-        return [r, pe - r, (r + half) % pe, (pe - r + half) % pe]
     r = _sqrt_mod_prime(c % p, p)
     while (r * r - c) % pe:  # Hensel (Newton) lifting to p^e
         r = (r - (r * r - c) * pow(2 * r, -1, pe)) % pe
@@ -440,9 +431,9 @@ def klein_discriminant(form: LinkingForm) -> ObstructionVerdict:
         return ObstructionVerdict(
             INAPPLICABLE, rule, f"H1 is {group}, not Zp + Zp for a prime p")
     p = factors[0]
-    (a, b), (_, c) = [[int(x * p) for x in row] for row in form.values]
+    (a, b), (_, c) = form.b  # b_ij = p * lambda_ij
     disc = (a * c - b * b) % p
-    if _is_unit_square(disc, {p: 1}) or _is_unit_square(-disc % p, {p: 1}):
+    if _legendre(disc, p) == 1 or _legendre(-disc, p) == 1:
         return ObstructionVerdict(
             NOT_OBSTRUCTED, rule, f"discriminant {disc} is +-square mod {p}")
     return ObstructionVerdict(

@@ -167,10 +167,10 @@ def checked_inverse(m):
 def cyclic_form(n, k, sign_fixed=False):
     """Synthetic linking form k/n on Z_n (trivial group for n = 1)."""
     if n == 1:
-        return LinkingForm(group=FiniteAbelianGroup(()), values=(),
+        return LinkingForm(group=FiniteAbelianGroup(()), b=(),
                            sign_fixed=sign_fixed)
     return LinkingForm(group=FiniteAbelianGroup((n,)),
-                       values=((Fraction(k, n),),), sign_fixed=sign_fixed)
+                       b=((k % n,),), sign_fixed=sign_fixed)
 
 
 # knots with table signatures, used to pin the eta/type conventions

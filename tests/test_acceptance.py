@@ -303,10 +303,10 @@ def exponents_all_odd(n):
 
 
 def test_mobius_verdicts_match_exhaustive_oracle_up_to_200():
-    """For every cyclic order <= 200 and 50 random unit form values:
+    """For every odd cyclic order <= 200 and 50 random unit form values:
     the verdict equals a direct loop over all group elements."""
     rng = random.Random(1234)
-    for n in range(2, 201):
+    for n in range(3, 201, 2):
         units = [k for k in range(1, n) if gcd(k, n) == 1]
         sample = units if len(units) <= 50 else rng.sample(units, 50)
         applicable = exponents_all_odd(n)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sympy import Matrix, factorint
 
 from conftest import cyclic_form, fan_goeritz_matrices, sympy_inverse
-from gamma4.errors import DiagramError
+from gamma4.errors import DiagramError, InconsistencyError
 from gamma4.exactalg import det, smith_normal_form
 from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              NOT_OBSTRUCTED, OBSTRUCTED,
@@ -80,8 +80,10 @@ def pairing(values, x, y):
                for j, yj in enumerate(y)) % 1
 
 
-def degenerate_by_enumeration(orders, values):
-    """Whether some x != 0 pairs to 0 with every generator."""
+def degenerate_by_enumeration(orders, b):
+    """Whether some x != 0 pairs to 0 with every generator, for
+    lambda(g_i, g_j) = b_ij / d_j."""
+    values = [[Fraction(x, d) for x, d in zip(row, orders)] for row in b]
     gens = [tuple(int(i == j) for j in range(len(orders)))
             for i in range(len(orders))]
     return any(any(x) and all(pairing(values, x, g) == 0 for g in gens)
@@ -137,7 +139,7 @@ def test_linking_form_agrees_with_pairing_oracle():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-4, 4)
-        if det(m) != 0 and abs(det(m)) <= 60:
+        if abs(det(m)) % 2 == 1 and abs(det(m)) <= 60:  # a knot's |H1| is odd
             cases.append(m)
     for g in cases:
         form = linking_form(gd_of(g))
@@ -149,81 +151,99 @@ def test_linking_form_agrees_with_pairing_oracle():
         assert mine == oracle_values, g
 
 
-def smith_identity_values(g):
+def smith_identity_matrix(g):
     """With U*G*V = D, G^-1 = V*D^-1*U, so the form on the columns of U^-1
-    is lambda_ij = ((U^-1)^T V)_ij / d_j mod 1: integers until the last
-    division.  U^-1 comes from sympy."""
+    is lambda_ij = ((U^-1)^T V)_ij / d_j mod 1, and b_ij is the integer
+    ((U^-1)^T V)_ij mod d_j.  U^-1 comes from sympy."""
     snf = smith_normal_form(g)
     p = Matrix(snf.U).inv().T * Matrix(snf.V)
     d = snf.diagonal
     keep = [i for i, dj in enumerate(d) if dj > 1]
-    return tuple(tuple(Fraction(int(p[i, j]), d[j]) % 1 for j in keep)
-                 for i in keep)
+    return tuple(tuple(int(p[i, j]) % d[j] for j in keep) for i in keep)
 
 
 def test_linking_form_is_the_integer_smith_identity(dataset):
     bundled = [goeritz(rec.pd).g for rec in dataset if rec.pd is not None]
     assert len(bundled) == 21
     for g in bundled + fan_goeritz_matrices():
-        assert linking_form(gd_of(g)).values == smith_identity_values(g), g
-
+        form = linking_form(gd_of(g))
+        assert form.b == smith_identity_matrix(g), g
+        assert all(type(x) is int and 0 <= x < d
+                   for row in form.b
+                   for x, d in zip(row, form.group.invariant_factors)), g
 
 
 def test_linking_form_of_a_unimodular_goeritz_matrix_is_trivial():
-    trivial = LinkingForm(group=FiniteAbelianGroup(()), values=())
+    trivial = LinkingForm(group=FiniteAbelianGroup(()), b=())
     for g in ([[1]], [[2, 1], [1, 1]], [[-1, 0], [0, 1]]):
         assert linking_form(gd_of(g)) == trivial, g
 
 
 def test_linking_form_symmetric_and_nondegenerate_guard():
-    with pytest.raises(ValueError):
-        LinkingForm(group=FiniteAbelianGroup((5,)), values=((Fraction(0),),))
-    with pytest.raises(ValueError):  # not symmetric
-        LinkingForm(group=FiniteAbelianGroup((3, 3)),
-                    values=((Fraction(1, 3), Fraction(1, 3)),
-                            (Fraction(0), Fraction(1, 3))))
-    with pytest.raises(ValueError):  # lambda(3 g0, g1) = 1/3 but 3 g0 = 0
-        LinkingForm(group=FiniteAbelianGroup((3, 9)),
-                    values=((Fraction(1, 3), Fraction(1, 9)),
-                            (Fraction(1, 9), Fraction(1, 9))))
+    with pytest.raises(ValueError, match="degenerate"):
+        LinkingForm(group=FiniteAbelianGroup((5,)), b=((0,),))
+    with pytest.raises(ValueError, match="symmetric"):
+        LinkingForm(group=FiniteAbelianGroup((3, 3)), b=((1, 1), (0, 1)))
+    with pytest.raises(ValueError, match="rank"):
+        LinkingForm(group=FiniteAbelianGroup((3, 3)), b=((1, 0),))
+    with pytest.raises(TypeError):  # b holds integers, not Q/Z values
+        LinkingForm(group=FiniteAbelianGroup((3,)), b=((Fraction(1, 3),),))
 
 
-def all_value_matrices(orders):
-    """Every symmetric value matrix on the generators: lambda(g_i, g_j) is a
-    multiple of 1/gcd(d_i, d_j)."""
+def test_symmetry_compares_b_ij_over_d_j_with_b_ji_over_d_i():
+    # on Z3 + Z9, b01 = 3 and b10 = 1 both mean 1/3
+    form = LinkingForm(group=FiniteAbelianGroup((3, 9)), b=((1, 3), (1, 1)))
+    assert form.values == ((Fraction(1, 3), Fraction(1, 3)),
+                           (Fraction(1, 3), Fraction(1, 9)))
+    # equal entries b01 = b10 = 1 mean lambda01 = 1/9 but lambda10 = 1/3
+    with pytest.raises(ValueError, match="symmetric"):
+        LinkingForm(group=FiniteAbelianGroup((3, 9)), b=((1, 1), (1, 1)))
+
+
+def test_even_order_is_an_inconsistency():
+    # |H1| = |Delta(-1)| is odd for the double branched cover of a knot
+    for orders, b in (((2,), ((1,),)), ((4,), ((1,),)), ((6,), ((1,),)),
+                      ((2, 2), ((1, 0), (0, 1)))):
+        with pytest.raises(InconsistencyError, match="odd order"):
+            LinkingForm(group=FiniteAbelianGroup(orders), b=b)
+    assert homology(gd_of([[2]])).invariant_factors == (2,)
+    with pytest.raises(InconsistencyError, match="odd order"):
+        linking_form(gd_of([[2]]))
+
+
+def all_form_matrices(orders):
+    """Every symmetric form on the generators, as its matrix b:
+    lambda(g_i, g_j) = a / gcd(d_i, d_j), so b_ij = a * d_j / gcd."""
     cells = [(i, j) for i in range(len(orders)) for j in range(i, len(orders))]
     ranges = [range(gcd(orders[i], orders[j])) for i, j in cells]
     for numerators in product(*ranges):
-        values = [[Fraction(0)] * len(orders) for _ in orders]
+        b = [[0] * len(orders) for _ in orders]
         for (i, j), a in zip(cells, numerators):
-            values[i][j] = values[j][i] = Fraction(a, gcd(orders[i], orders[j]))
-        yield values
+            g = gcd(orders[i], orders[j])
+            b[i][j], b[j][i] = a * orders[j] // g, a * orders[i] // g
+        yield b
 
 
-@pytest.mark.parametrize("orders", [(2, 2), (2, 4), (3, 3), (3, 9), (2, 2, 2),
-                                    (2, 6), (3, 6)])
+@pytest.mark.parametrize("orders", [(5, 5), (5, 25), (3, 3), (3, 9), (3, 3, 3),
+                                    (3, 15), (5, 15)])
 def test_nondegeneracy_rule_agrees_with_enumeration(orders):
     group = FiniteAbelianGroup(orders)
     degenerate = 0
-    for values in all_value_matrices(orders):
-        if degenerate_by_enumeration(orders, values):
+    for b in all_form_matrices(orders):
+        if degenerate_by_enumeration(orders, b):
             degenerate += 1
             with pytest.raises(ValueError, match="degenerate"):
-                LinkingForm(group=group, values=values)
+                LinkingForm(group=group, b=b)
         else:
-            LinkingForm(group=group, values=values)
+            LinkingForm(group=group, b=b)
     assert degenerate > 0
 
 
 def test_degenerate_form_above_2000_elements_is_rejected():
-    # on Z50 + Z50, 25*g1 pairs trivially with both generators
+    # on Z75 + Z75, 25*g1 pairs trivially with both generators
     with pytest.raises(ValueError, match="degenerate"):
-        LinkingForm(group=FiniteAbelianGroup((50, 50)),
-                    values=((Fraction(1, 50), Fraction(0)),
-                            (Fraction(0), Fraction(2, 50))))
-    LinkingForm(group=FiniteAbelianGroup((50, 50)),
-                values=((Fraction(1, 50), Fraction(0)),
-                        (Fraction(0), Fraction(3, 50))))
+        LinkingForm(group=FiniteAbelianGroup((75, 75)), b=((1, 0), (0, 3)))
+    LinkingForm(group=FiniteAbelianGroup((75, 75)), b=((1, 0), (0, 2)))
 
 
 def test_sign_flip_negates_values_but_not_verdicts():
@@ -236,13 +256,10 @@ def test_sign_flip_negates_values_but_not_verdicts():
 
 
 def test_fix_sign_constructs_and_validates_the_signed_form_once(monkeypatch):
-    form = LinkingForm(group=FiniteAbelianGroup((3, 9)),
-                       values=((Fraction(1, 3), Fraction(1, 3)),
-                               (Fraction(1, 3), Fraction(1, 9))))
+    form = LinkingForm(group=FiniteAbelianGroup((3, 9)), b=((1, 3), (1, 1)))
     negated = form.negated()
     assert not negated.sign_fixed
-    assert negated.values == ((Fraction(2, 3), Fraction(2, 3)),
-                              (Fraction(2, 3), Fraction(8, 9)))
+    assert negated.b == ((2, 6), (2, 8))
     validations = []
     validate = LinkingForm.__post_init__
     monkeypatch.setattr(LinkingForm, "__post_init__",
@@ -275,7 +292,7 @@ def test_generator_values_invariant_under_generator_change():
 
 
 def test_represents_and_square_class_describe_the_orbit():
-    for n in range(2, 50):
+    for n in range(3, 50, 2):
         forms = [cyclic_form(n, k) for k in range(1, n) if gcd(k, n) == 1]
         orbits = [generator_values(form) for form in forms]
         classes = [square_class(form) for form in forms]
@@ -286,17 +303,15 @@ def test_represents_and_square_class_describe_the_orbit():
                     == [other == orbit for other in orbits]), form
 
 
-def test_square_class_is_legendre_symbols_and_residue_mod_8():
-    form = cyclic_form(2 ** 4 * 3 * 17, 5)
-    assert square_class(form) == {2: 5, 3: -1, 17: -1}
-    assert square_class(cyclic_form(4 * 3, 7)) == {2: 3, 3: 1}
+def test_square_class_is_legendre_symbols():
+    form = cyclic_form(3 ** 4 * 5 * 17, 7)
+    assert square_class(form) == {3: 1, 5: -1, 17: -1}
+    assert square_class(cyclic_form(9 * 5, 7)) == {3: 1, 5: -1}
     assert square_class(cyclic_form(1, 0)) == {}
 
 
 def test_generator_values_needs_cyclic():
-    f = LinkingForm(group=FiniteAbelianGroup((3, 3)),
-                    values=((Fraction(1, 3), Fraction(0)),
-                            (Fraction(0), Fraction(1, 3))))
+    f = LinkingForm(group=FiniteAbelianGroup((3, 3)), b=((1, 0), (0, 1)))
     with pytest.raises(ValueError):
         generator_values(f)
 
@@ -339,9 +354,7 @@ def test_mobius_cyclic_published_values():
 def test_mobius_cyclic_preconditions():
     assert mobius_obstruction_cyclic(cyclic_form(9, 1)).result == INAPPLICABLE
     assert mobius_obstruction_cyclic(cyclic_form(63, 61)).result == INAPPLICABLE
-    f33 = LinkingForm(group=FiniteAbelianGroup((3, 3)),
-                      values=((Fraction(1, 3), Fraction(0)),
-                              (Fraction(0), Fraction(1, 3))))
+    f33 = LinkingForm(group=FiniteAbelianGroup((3, 3)), b=((1, 0), (0, 1)))
     assert mobius_obstruction_cyclic(f33).result == INAPPLICABLE
     assert mobius_obstruction_cyclic(cyclic_form(27, 2)).result in (
         OBSTRUCTED, NOT_OBSTRUCTED)  # 27 = 3^3 has odd exponent: applicable
@@ -349,7 +362,7 @@ def test_mobius_cyclic_preconditions():
 
 def test_mobius_cyclic_vs_oracle_small_sweep():
     rng = random.Random(17)
-    for n in range(2, 61):
+    for n in range(3, 61, 2):
         if not exponents_all_odd(n):
             continue
         units = [k for k in range(1, n) if gcd(k, n) == 1]
@@ -366,19 +379,17 @@ def test_mobius_p2q_published_values():
 
 def test_mobius_p2q_preconditions():
     # the order alone decides: one prime squared, every other prime once
-    for n, k in ((1, 0), (15, 2), (27, 2), (36, 5), (81, 2), (4 * 9 * 5, 7)):
+    for n, k in ((1, 0), (15, 2), (27, 2), (225, 2), (81, 2), (9 * 25 * 7, 2)):
         assert mobius_obstruction_p2q(cyclic_form(n, k)).result == INAPPLICABLE
-    f33 = LinkingForm(group=FiniteAbelianGroup((3, 3)),
-                      values=((Fraction(1, 3), Fraction(0)),
-                              (Fraction(0), Fraction(1, 3))))
+    f33 = LinkingForm(group=FiniteAbelianGroup((3, 3)), b=((1, 0), (0, 1)))
     assert mobius_obstruction_p2q(f33).result == INAPPLICABLE
-    for n, k in ((4, 1), (12, 5), (45, 2), (63, 61)):
+    for n, k in ((25, 1), (75, 2), (45, 2), (63, 61)):
         assert mobius_obstruction_p2q(cyclic_form(n, k)).result in (
             OBSTRUCTED, NOT_OBSTRUCTED)
 
 
 def test_mobius_p2q_applies_exactly_on_prime_square_orders():
-    for n in range(1, 3001):
+    for n in range(1, 3001, 2):
         exponents = factorint(n)
         shape = sorted(exponents.values())
         expected = shape.count(2) == 1 and shape.count(1) == len(shape) - 1
@@ -467,20 +478,20 @@ def assert_verdicts_match_loops(n, k, split):
 
 
 def test_verdicts_match_generator_loops_for_every_unit_up_to_300():
-    for n in range(2, 301):
+    for n in range(3, 301, 2):
         split = prime_square_split(n)
         for k in range(1, n):
             if gcd(k, n) == 1:
                 assert_verdicts_match_loops(n, k, split)
 
 
-P2Q_ORDERS = [n for n in range(4, 10**4 + 1) if prime_square_split(n)]
+P2Q_ORDERS = [n for n in range(9, 10**4 + 1, 2) if prime_square_split(n)]
 
 
 @st.composite
 def cyclic_orders_and_units(draw):
-    n = draw(st.one_of(st.integers(2, 10**4),
-                       st.integers(1, 13).map(lambda e: 2 ** e),
+    n = draw(st.one_of(st.integers(1, 4999).map(lambda h: 2 * h + 1),
+                       st.integers(1, 8).map(lambda e: 3 ** e),
                        st.sampled_from(P2Q_ORDERS)))
     k = draw(st.integers(1, n - 1).filter(lambda k: gcd(k, n) == 1))
     return n, k
@@ -514,29 +525,22 @@ def test_factorize_matches_sympy():
 
 
 def hyperbolic(p):
-    return LinkingForm(group=FiniteAbelianGroup((p, p)),
-                       values=((Fraction(0), Fraction(1, p)),
-                               (Fraction(1, p), Fraction(0))))
+    return LinkingForm(group=FiniteAbelianGroup((p, p)), b=((0, 1), (1, 0)))
 
 
 def diag_form(p, a, b):
-    return LinkingForm(group=FiniteAbelianGroup((p, p)),
-                       values=((Fraction(a, p), Fraction(0)),
-                               (Fraction(0), Fraction(b, p))))
+    return LinkingForm(group=FiniteAbelianGroup((p, p)), b=((a, 0), (0, b)))
 
 
 def test_klein_discriminant_examples():
     assert klein_discriminant(hyperbolic(5)).result == NOT_OBSTRUCTED
     assert klein_discriminant(diag_form(3, 1, 1)).result == NOT_OBSTRUCTED
-    assert klein_discriminant(diag_form(2, 1, 1)).result == NOT_OBSTRUCTED
     # det(p*lambda) = 2 and +-squares mod 5 are {1, 4}: obstructed
     assert klein_discriminant(diag_form(5, 1, 2)).result == OBSTRUCTED
     assert klein_discriminant(cyclic_form(25, 1)).result == INAPPLICABLE
     # Z9 + Z9 and Z3 + Z9 are not Zp + Zp for a prime p
     assert klein_discriminant(diag_form(9, 1, 1)).result == INAPPLICABLE
-    z3_z9 = LinkingForm(group=FiniteAbelianGroup((3, 9)),
-                        values=((Fraction(1, 3), Fraction(0)),
-                                (Fraction(0), Fraction(1, 9))))
+    z3_z9 = LinkingForm(group=FiniteAbelianGroup((3, 9)), b=((1, 0), (0, 1)))
     assert klein_discriminant(z3_z9).result == INAPPLICABLE
 
 
