@@ -21,6 +21,7 @@ is the ledger of non-oriented band moves ``source --h--> target``.
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -71,12 +72,14 @@ def parse_pd(text):
         xm = _X_RE.match(body, pos)
         if not xm:
             raise PDSyntaxError(f"malformed crossing token at {body[pos:pos+24]!r}")
-        crossings.append(tuple(int(g) for g in xm.groups()))
+        crossings.append(tuple(map(int, xm.groups())))
         pos = xm.end()
         if pos < len(body):
             if body[pos] != ",":
                 raise PDSyntaxError(f"expected ',' between crossings at {body[pos:pos+8]!r}")
             pos += 1
+            if pos == len(body):
+                raise PDSyntaxError(f"trailing ',' after the last crossing in {text!r}")
     pd = PDCode(crossings=tuple(crossings))
     validate_pd(pd)
     return pd
@@ -245,10 +248,10 @@ def _parse_bool(cell, what):
 
 def _load_rows(path, columns, from_row):
     """Parse each data row of a CSV with the mandatory ``columns`` by
-    ``from_row``, in table order.  Missing trailing cells read as empty;
-    cells beyond the header reject the row.  Rejected rows are collected
-    and reported together in a single :class:`DataError` with their row
-    numbers."""
+    ``from_row``, in table order.  A header naming a column twice is
+    rejected.  Missing trailing cells read as empty; cells beyond the
+    header reject the row.  Rejected rows are collected and reported
+    together in a single :class:`DataError` with their row numbers."""
     path = Path(path)
     items = []
     failures = []
@@ -259,6 +262,10 @@ def _load_rows(path, columns, from_row):
         missing = [c for c in columns if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing mandatory columns {missing}")
+        # DictReader would keep only the last cell of a repeated column
+        repeated = [c for c, k in Counter(reader.fieldnames).items() if k > 1]
+        if repeated:
+            raise DataError(f"{path}: header names columns more than once {repeated}")
         for lineno, row in enumerate(reader, start=2):
             if None in row:  # DictReader files surplus cells under None
                 failures.append((lineno, f"{len(row[None])} cell(s) beyond "

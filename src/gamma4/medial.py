@@ -11,6 +11,14 @@ and comparing matrices.
 Corners between consecutive edges around a vertex are the diagram's arcs;
 each graph edge becomes one crossing whose two strands run between the two
 endpoint regions, and eta decides which strand dives under.
+
+Crossing ends are flat integers: end ``4*e + 2*j + side`` is edge e at its
+j-th endpoint (j = 0 at u, 1 at v of ``edges[e] = (u, v, eta)``) on the
+BEFORE (0) or AFTER (1) side, that is, in the corner from the previous edge
+of the endpoint's rotation to e, or from e to the next one.  The other end
+of the same strand is ``end ^ 2``, the other end of the same corner is
+``corner[end]``, and counterclockwise around crossing e the ends are
+``4*e + 2``, ``4*e + 1``, ``4*e``, ``4*e + 3``.
 """
 
 from dataclasses import dataclass, field
@@ -20,17 +28,15 @@ from .errors import DiagramError
 from .knotio import PDCode
 from .planar import faces
 
-BEFORE = 0  # corner (prev edge, e) at an endpoint
-AFTER = 1   # corner (e, next edge)
-
 
 @dataclass
 class PlanarGraph:
     """Connected multigraph with a rotation system; loops are rejected
     (a loop edge is a nugatory crossing).
 
-    ``edges[k] = (u, v, eta)``; ``rotations[w]`` lists the incident edge
-    ids counterclockwise around w (parallel edges appear once per copy).
+    ``edges[k] = (u, v, eta)`` with u, v in ``0..vertex_count-1``;
+    ``rotations[w]`` lists the incident edge ids counterclockwise around w
+    (parallel edges appear once per copy).
     """
 
     vertex_count: int
@@ -38,18 +44,23 @@ class PlanarGraph:
     rotations: dict = field(default_factory=dict)
 
     def validate(self):
-        seen = {w: list(self.rotations.get(w, ())) for w in range(self.vertex_count)}
+        count = self.vertex_count
+        listed = [set(self.rotations.get(w, ())) for w in range(count)]
+        incident = [[] for _ in range(count)]
         for k, (u, v, eta) in enumerate(self.edges):
             if u == v:
                 raise DiagramError(f"edge {k} is a loop; loops are nugatory")
             if eta not in (1, -1):
                 raise DiagramError(f"edge {k} has sign {eta}, expected +-1")
             for w in (u, v):
-                if k not in seen[w]:
+                if not 0 <= w < count:
+                    raise DiagramError(f"edge {k} has endpoint {w} outside "
+                                       f"vertices 0..{count - 1}")
+                if k not in listed[w]:
                     raise DiagramError(f"edge {k} missing from rotation of vertex {w}")
-        for w, rot in seen.items():
-            incident = [k for k, (u, v, _s) in enumerate(self.edges) if w in (u, v)]
-            if sorted(rot) != sorted(incident):
+                incident[w].append(k)
+        for w in range(count):
+            if sorted(self.rotations.get(w, ())) != incident[w]:
                 raise DiagramError(f"rotation at vertex {w} does not list its "
                                    f"incident edges exactly once")
 
@@ -75,85 +86,58 @@ def medial_pd(graph: PlanarGraph):
     Raises DiagramError if the medial closes into more than one component.
     """
     graph.validate()
-    n = len(graph.edges)
+    edges = graph.edges
+    n = len(edges)
     if n == 0:
         raise DiagramError("empty graph has no medial diagram")
 
-    # corner (w, i) sits between rotations[w][i] and rotations[w][i+1];
-    # it joins crossing rotations[w][i] (AFTER end) to rotations[w][i+1]
-    # (BEFORE end).  Crossing ends are keyed (edge, vertex, BEFORE|AFTER).
-    corner_of_end = {}
-    ends_of_corner = {}
+    # the corner after rotations[w][i] joins that edge's AFTER end at w to
+    # the BEFORE end of rotations[w][i+1] at w
+    corner = [0] * (4 * n)
     for w in range(graph.vertex_count):
-        rot = graph.rotations[w]
-        deg = len(rot)
-        for i in range(deg):
-            e_after = rot[i]
-            e_before = rot[(i + 1) % deg]
-            corner = (w, i)
-            ends_of_corner[corner] = ((e_after, w, AFTER), (e_before, w, BEFORE))
-            corner_of_end[(e_after, w, AFTER)] = corner
-            corner_of_end[(e_before, w, BEFORE)] = corner
+        befores = [4 * e + 2 * (edges[e][0] != w) for e in graph.rotations[w]]
+        for prev, nxt in zip(befores, befores[1:] + befores[:1]):
+            corner[prev + 1] = nxt
+            corner[nxt] = prev + 1
 
-    def strand_partner(end):
-        # both strands of crossing e run between the two endpoint regions:
-        # u-AFTER <-> v-AFTER and u-BEFORE <-> v-BEFORE
-        e, w, side = end
-        u, v, _eta = graph.edges[e]
-        return (e, v if w == u else u, side)
-
-    def corner_partner(end):
-        corner = corner_of_end[end]
-        first, second = ends_of_corner[corner]
-        return second if first == end else first
-
-    # Walk the knot: alternate crossing hops and corner (arc) hops.
-    start = (0, graph.edges[0][0], AFTER)
-    walk_ends = []
-    end = start
+    # Walk the knot from edge 0's AFTER end at u, alternating strand hops
+    # (end ^ 2) and corner hops.  Both are involutions, so the walk closes;
+    # arc k runs from the k-th exit to the next entry and is labelled k,
+    # except that the arc entering the first crossing is the last, 2n.
+    label = [0] * (4 * n)
+    incoming = [False] * (4 * n)
+    end = start = 1  # 4*0 + 2*0 + AFTER
+    k = 0
     while True:
-        walk_ends.append(end)             # entering the crossing here
-        exit_end = strand_partner(end)
-        walk_ends.append(exit_end)        # leaving the crossing here
-        end = corner_partner(exit_end)
+        incoming[end] = True
+        label[end] = k or 2 * n
+        k += 1
+        label[end ^ 2] = k
+        end = corner[end ^ 2]
         if end == start:
             break
-        if len(walk_ends) > 4 * n:
-            raise DiagramError("medial walk failed to close")
-    if len(walk_ends) != 4 * n:
+    if k != 2 * n:
         raise DiagramError("medial diagram has more than one component")
 
-    # Arc labels: arc k runs from walk_ends[2k+1] (exit) to walk_ends[2k+2]
-    # (next entry); the arc entering the very first crossing is the last.
-    arc_count = 2 * n
-    label_at_end = {}
-    for k in range(arc_count):
-        label = k + 1
-        exit_end = walk_ends[2 * k + 1]
-        entry_end = walk_ends[(2 * k + 2) % (4 * n)]
-        label_at_end[exit_end] = label
-        label_at_end[entry_end] = label
-    incoming = {walk_ends[2 * k]: True for k in range(arc_count)}
-
-    # Quadrant geometry per crossing, with the under-strand chosen by eta:
-    # counterclockwise end order is (v,BEFORE), (u,AFTER), (u,BEFORE),
-    # (v,AFTER); eta = +1 puts the BEFORE-BEFORE strand underneath.
+    # Quadrant geometry per crossing: the PD code starts at the incoming
+    # under-end, at position a of the counterclockwise ends (v,BEFORE),
+    # (u,AFTER), (u,BEFORE), (v,AFTER); eta = +1 puts the BEFORE-BEFORE
+    # strand underneath.  Region u's quadrant then sits at slot (1 - a) % 4
+    # and region v's at (3 - a) % 4.
     crossings = []
     region_quadrants = {}
-    for e, (u, v, eta) in enumerate(graph.edges):
-        ccw = [(e, v, BEFORE), (e, u, AFTER), (e, u, BEFORE), (e, v, AFTER)]
-        under_side = BEFORE if eta == 1 else AFTER
-        under_ends = [x for x in ccw if x[2] == under_side]
-        a_end = next(x for x in under_ends if incoming.get(x))
-        a_pos = ccw.index(a_end)
-        quad = [ccw[(a_pos + off) % 4] for off in range(4)]
-        crossings.append(tuple(label_at_end[x] for x in quad))
-        # the quadrant between the two w-side ends lies inside region w;
-        # they are cyclically adjacent, so locate the slot pair (s, s+1)
-        for w in (u, v):
-            slots = sorted((quad.index((e, w, BEFORE)), quad.index((e, w, AFTER))))
-            s = slots[0] if slots == [slots[0], slots[0] + 1] else 3
-            region_quadrants.setdefault(w, (e, s))
+    for e, (u, v, eta) in enumerate(edges):
+        base = 4 * e
+        if eta == 1:
+            a = 0 if incoming[base + 2] else 2
+        else:
+            a = 1 if incoming[base + 1] else 3
+        ccw = (label[base + 2], label[base + 1], label[base], label[base + 3])
+        crossings.append(ccw[a:] + ccw[:a])
+        if u not in region_quadrants:
+            region_quadrants[u] = (e, (1 - a) % 4)
+        if v not in region_quadrants:
+            region_quadrants[v] = (e, (3 - a) % 4)
 
     pd = PDCode(tuple(crossings))
     return pd, region_quadrants

@@ -65,6 +65,14 @@ def test_parse_syntax_errors():
             parse_pd(text)
 
 
+def test_parse_rejects_a_trailing_comma():
+    with pytest.raises(PDSyntaxError, match="trailing ','"):
+        parse_pd("PD[X[4,2,5,1], X[2,6,3,5], X[6,4,1,3],]")
+    with pytest.raises(PDSyntaxError, match="malformed crossing token"):
+        parse_pd("PD[X[4,2,5,1],, X[2,6,3,5], X[6,4,1,3]]")
+    assert len(parse_pd("PD[X[4,2,5,1], X[2,6,3,5], X[6,4,1,3]]")) == 3
+
+
 def test_render_round_trip_on_assorted_diagrams():
     diagrams = [parse_pd("PD[]"), parse_pd(TREFOIL_PD),
                 torus2(5), torus2(7), mirror(torus2(5))]
@@ -158,6 +166,17 @@ def test_missing_mandatory_column(tmp_path):
     with pytest.raises(DataError) as err:
         load_dataset(path)
     assert "missing mandatory columns" in str(err.value)
+
+
+def test_repeated_column_rejected(tmp_path):
+    # a second signature column would otherwise override the first: -4 -> 2
+    path = tmp_path / "knots.csv"
+    header = ("name,crossings,pd,signature,arf,g4,u_lo,u_hi,us_lo,us_hi,"
+              "c4_lo,c4_hi,crosscap_hi,slice,determinant,definiteness")
+    path.write_text(f"{header},signature,arf\nk1,11,,-4,0,2,,,,,,,,false,,,2,1\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert "header names columns more than once ['signature', 'arf']" in str(err.value)
 
 
 def test_bad_rows_are_all_reported(tmp_path):
@@ -255,3 +274,12 @@ def test_certificate_surplus_cells_reject_the_row(tmp_path):
     assert ("rejected rows: row 2: 1 cell(s) beyond the 5-column header"
             in str(err.value))
     assert err.value.rows == (2,)
+
+
+def test_certificate_repeated_column_rejected(tmp_path):
+    # a second target column would otherwise read C instead of B
+    path = tmp_path / "certificates.csv"
+    path.write_text("source,h,target,target_gamma4,figure_ref,target\n"
+                    "A,0,B,1,Fig. 1,C\n")
+    with pytest.raises(DataError, match=r"more than once \['target'\]"):
+        load_certificates(path)

@@ -72,6 +72,16 @@ def test_rotation_validation():
         medial_pd(g)
 
 
+@pytest.mark.parametrize("edge, vertex", [((0, 2, 1), 2), ((-1, 1, 1), -1),
+                                          ((1, 5, -1), 5)])
+def test_endpoint_out_of_range_is_a_diagram_error(edge, vertex):
+    # checked before any list is indexed, so -1 cannot wrap to the last vertex
+    graph = PlanarGraph(2, [edge], {0: [0], 1: [0]})
+    with pytest.raises(DiagramError,
+                       match=fr"^edge 0 has endpoint {vertex} outside vertices 0\.\.1$"):
+        medial_pd(graph)
+
+
 def test_fan_rejects_bad_parameters():
     with pytest.raises(ValueError):
         fan_graph((1, 1), ())

@@ -278,6 +278,19 @@ def test_bundled_report_knots_digest(classification):
         "7e2a4a5ce00b6317714d2851536c441f4be778342fda90c2fb39fca86f1b82b5")
 
 
+def test_bundled_report_knots_block_bytes(classification):
+    """The raw knots block, from its opening line through its closing one:
+    pins key order, separators and escaping inside the knot lines, which
+    the canonical re-serialization above does not see."""
+    lines = pipeline.report_json(*classification).splitlines()
+    start = lines.index('  "knots": [')
+    stop = lines.index("  ],", start)
+    assert stop - start - 1 == 185
+    block = "\n".join(lines[start:stop + 1]) + "\n"
+    assert hashlib.sha256(block.encode()).hexdigest() == (
+        "e574cf2f5321b5246a2d15867cfb3ca6a7060c52fa38beafe9234ef65117d180")
+
+
 def test_bundled_summary_csv_digest(classification):
     summary = pipeline.summary_csv(classification[0])
     assert hashlib.sha256(summary.encode()).hexdigest() == (
