@@ -73,7 +73,9 @@ def _analyze_knot(args):
     """The named knot's record, the global sign and its analysis.
 
     The sign is resolved over the loaded dataset as ``classify`` resolves
-    it, so both report the same verdicts for the same data.
+    it, so both report the same verdicts for the same data.  The vote's
+    double cover of the record is reused; a ``--pd-override`` record is a
+    new object, so it gets its own.
     """
     records = load_dataset(_dataset_path(args))
     rec = next((r for r in records if r.name == args.knot), None)
@@ -85,9 +87,12 @@ def _analyze_knot(args):
     if rec.pd is None:
         raise KnotNotFound(f"knot {args.knot!r} has no diagram in the dataset "
                            f"(give one with --pd-override)")
-    sign, _note = pipeline.resolve_sign_convention(records, args.sign_convention)
+    covers = {}
+    sign, _note = pipeline.resolve_sign_convention(records, args.sign_convention,
+                                                   covers)
     return rec, sign, pipeline.analyze_diagram(rec, sign,
-                                               enable_klein=args.enable_klein)
+                                               enable_klein=args.enable_klein,
+                                               cover=covers.get(id(rec)))
 
 
 def cmd_goeritz(args):

@@ -63,6 +63,9 @@ class PlanarGraph:
             if sorted(self.rotations.get(w, ())) != incident[w]:
                 raise DiagramError(f"rotation at vertex {w} does not list its "
                                    f"incident edges exactly once")
+            if not incident[w] and self.edges:
+                raise DiagramError(f"vertex {w} has no edges; the graph must "
+                                   f"be connected")
 
     def goeritz_full(self):
         """G' predicted directly from the graph (vertex-indexed)."""

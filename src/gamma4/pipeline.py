@@ -3,10 +3,16 @@
 Per knot with a diagram: Goeritz data, homology of the double branched
 cover, linking form, and the applicable obstruction verdicts.  Cross-checks
 run along the way: the sign of det G must be (-1)^((dim G - sig(G))/2),
-|det G| must equal the ingested determinant and the Gordon-Litherland
-signature the ingested signature whenever both sides exist.  A failed
-cross-check is an inconsistency (bad data, a miscalibrated convention or
-an elimination bug), not a warning.
+|det G| must equal the ingested determinant, the Gordon-Litherland
+signature the ingested signature, and the ingested Arf invariant must be
+0 exactly when |det G| = +-1 (mod 8) [Levine], whenever both sides exist.
+A failed cross-check is an inconsistency (bad data, a miscalibrated
+convention or an elimination bug), not a warning.
+
+Each diagram's double cover (``DoubleCover``: Goeritz data, det,
+signature, homology and the linking form before its sign is fixed) is
+computed once per run.  The sign vote reads it under both signs and the
+final pass reuses it, since fixing the sign only negates the form.
 
 The intervals, band-move certificates included, come from
 ``bounds.classify_all``.
@@ -64,9 +70,24 @@ class DiagramAnalysis:
         return None
 
 
-def analyze_diagram(rec, sign, enable_klein=False):
-    """Goeritz -> homology -> linking form -> verdicts for one record; the
-    p^2 q and Klein verdicts are kept only where they apply to H1."""
+@dataclass(frozen=True)
+class DoubleCover:
+    """The sign-independent data of one diagram's double branched cover.
+
+    ``form`` is the +G^{-1} transport with its global sign not yet fixed;
+    fixing the sign only negates it, so both signs share one cover.
+    """
+
+    goeritz: object
+    group: object
+    form: object
+    det: int
+    signature: int
+
+
+def double_cover(rec):
+    """Goeritz -> det, signature and their cross-checks -> homology ->
+    unsigned linking form for one record."""
     gd = planar.goeritz(rec.pd)
     det_g = exactalg.det(gd.g)
     sig = planar.signature_via_goeritz(gd)
@@ -85,16 +106,33 @@ def analyze_diagram(rec, sign, enable_klein=False):
         raise InconsistencyError(
             f"{rec.name}: Goeritz signature {sig} disagrees with the ingested "
             f"signature {rec.signature}; convention or data error")
-    group = homology(gd)
-    form = linking_form(gd).fix_sign(sign)
+    # Levine: a knot's Arf invariant is 0 iff |det| = +-1 (mod 8)
+    arf = 0 if abs(det_g) % 8 in (1, 7) else 1
+    if rec.arf is not None and rec.arf != arf:
+        raise InconsistencyError(
+            f"{rec.name}: ingested Arf invariant {rec.arf} but |det G| = "
+            f"{abs(det_g)} is {abs(det_g) % 8} mod 8; Arf = 0 iff |det| = "
+            f"+-1 (mod 8) [Levine]")
+    return DoubleCover(goeritz=gd, group=homology(gd), form=linking_form(gd),
+                       det=abs(det_g), signature=sig)
+
+
+def analyze_diagram(rec, sign, enable_klein=False, cover=None):
+    """The verdicts on ``rec``'s double cover (built here unless given)
+    with the linking form's global sign fixed to ``sign``; the p^2 q and
+    Klein verdicts are kept only where they apply to H1."""
+    if cover is None:
+        cover = double_cover(rec)
+    form = cover.form.fix_sign(sign)
     verdicts = [mobius_obstruction_cyclic(form)]
     _append_if_applicable(verdicts, mobius_obstruction_p2q(form))
     if rec.definiteness is not None:
         verdicts.append(definiteness_consistency(form, rec.definiteness))
     if enable_klein:
         _append_if_applicable(verdicts, klein_discriminant(form))
-    return DiagramAnalysis(goeritz=gd, group=group, form=form,
-                           verdicts=verdicts, det=abs(det_g), signature=sig)
+    return DiagramAnalysis(goeritz=cover.goeritz, group=cover.group, form=form,
+                           verdicts=verdicts, det=cover.det,
+                           signature=cover.signature)
 
 
 def _append_if_applicable(verdicts, verdict):
@@ -102,7 +140,7 @@ def _append_if_applicable(verdicts, verdict):
         verdicts.append(verdict)
 
 
-def resolve_sign_convention(records, requested):
+def resolve_sign_convention(records, requested, covers=None):
     """Pick the global sign of the linking form (lambda = s * G^{-1}).
 
     ``fixed+``/``fixed-`` force it.  ``auto`` keeps +1 unless every knot
@@ -110,17 +148,24 @@ def resolve_sign_convention(records, requested):
     all resolving consistently under -1, in which case the convention is
     flipped (a uniform flip is a convention artifact; a mixed pattern is
     genuine data and is left alone).
+
+    Each voting record's double cover is built once and read under both
+    signs; it is stored in ``covers`` under ``id(rec)``, so a caller can
+    reuse it for that very record object and for no other.
     """
     if requested == SIGN_PLUS:
         return 1, "forced +G^-1"
     if requested == SIGN_MINUS:
         return -1, "forced -G^-1"
+    if covers is None:
+        covers = {}
     votes = []
     for rec in records:
         if rec.pd is None or rec.definiteness is None:
             continue
+        cover = covers[id(rec)] = double_cover(rec)
         for sign in (1, -1):
-            analysis = analyze_diagram(rec, sign)
+            analysis = analyze_diagram(rec, sign, cover=cover)
             verdict = next((v for v in analysis.verdicts
                             if v.rule == RULE_DEFINITENESS), None)
             if verdict is not None and verdict.result != INAPPLICABLE:
@@ -155,12 +200,15 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
             raise InconsistencyError(f"duplicate knot name {rec.name}")
         names.add(rec.name)
 
-    sign, sign_note = resolve_sign_convention(records, sign_convention)
+    covers = {}
+    sign, sign_note = resolve_sign_convention(records, sign_convention, covers)
 
+    # the vote's covers are reused; the rest are built here, in table order
     analyses = {}
     for rec in records:
         if rec.pd is not None:
-            analyses[rec.name] = analyze_diagram(rec, sign, enable_klein)
+            analyses[rec.name] = analyze_diagram(rec, sign, enable_klein,
+                                                 covers.get(id(rec)))
 
     bounds = classify_all(
         records, {name: a.verdicts for name, a in analyses.items()}, certs)

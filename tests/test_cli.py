@@ -284,3 +284,27 @@ def test_obstruct_and_linkform_take_no_certificates(capsys):
         with pytest.raises(SystemExit):
             main([command, "--knot", "11n17", "--certificates", "c.csv"])
         capsys.readouterr()
+
+
+LEFT_TREFOIL_PD = "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]"
+RIGHT_TREFOIL_PD = "PD[X[4,2,5,1], X[2,6,3,5], X[6,4,1,3]]"
+
+
+@pytest.mark.parametrize("command", [["obstruct"], ["linkform", "--json"]])
+def test_pd_override_is_analyzed_not_the_dataset_diagram(capsys, command):
+    """11n38 (det 3, signature -2) votes on the sign, so its own double
+    cover is built before the override is read; the override must get a
+    cover of its own.  The left trefoil agrees with the row, its mirror
+    contradicts the ingested signature."""
+    code, out, _err = run(capsys, *command, "--knot", "11n38",
+                          "--pd-override", LEFT_TREFOIL_PD)
+    assert code == 0
+    assert "= Z3" in out.partition("\n")[0]
+    if "--json" in command:
+        assert json.loads(out.partition("\n")[2])["invariant_factors"] == [3]
+
+    code, out, err = run(capsys, *command, "--knot", "11n38",
+                         "--pd-override", RIGHT_TREFOIL_PD)
+    assert code == 4 and out == ""
+    assert ("Goeritz signature 2 disagrees with the ingested signature -2"
+            in err)

@@ -101,3 +101,13 @@ def test_permutation_sign_matcher():
     assert sign == -1
     assert conjugate_by_permutation_sign(a, [[1, 0], [0, 5]]) is None
     assert conjugate_by_permutation_sign(a, b, fix_first=True) is None
+
+
+@pytest.mark.parametrize("rotations", [
+    {0: [0, 1, 2], 1: [2, 1, 0]}, {0: [0, 1, 2], 1: [2, 1, 0], 2: []}])
+def test_vertex_without_edges_is_a_diagram_error(rotations):
+    # the medial of the other two vertices is a trefoil, which would hide
+    # the missing region
+    graph = PlanarGraph(3, [(0, 1, 1)] * 3, rotations)
+    with pytest.raises(DiagramError, match=r"^vertex 2 has no edges"):
+        medial_pd(graph)

@@ -354,3 +354,71 @@ def test_over_directions_runs_once_per_diagram(dataset):
         finally:
             sys.setprofile(None)
         assert len(calls) == 1, text
+
+
+def test_a_shared_cover_gives_the_same_analysis(dataset):
+    """One double cover read under both signs, with Klein on and off, is
+    what the sign vote and the final pass do with it."""
+    for rec in dataset:
+        if rec.pd is None:
+            continue
+        cover = pipeline.double_cover(rec)
+        for sign, klein in itertools.product((1, -1), (False, True)):
+            assert (pipeline.analyze_diagram(rec, sign, klein, cover=cover)
+                    == pipeline.analyze_diagram(rec, sign, klein)), rec.name
+
+
+@pytest.mark.parametrize("convention", ["auto", "fixed+", "fixed-"])
+def test_one_double_cover_per_diagram_per_run(knots_csv, certificates_csv,
+                                              convention):
+    """The sign vote reads its diagrams' covers under both signs and the
+    final pass reuses them: 21 diagrams, 21 Goeritz matrices and 21
+    linking forms, whatever the convention."""
+    import sys
+    from gamma4 import linkform, planar
+    counted = {planar.goeritz.__code__: 0, linkform.linking_form.__code__: 0}
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code in counted:
+            counted[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        entries, _meta = pipeline.run_classification(
+            knots_csv, certificates_csv, sign_convention=convention)
+    finally:
+        sys.setprofile(None)
+    diagrams = sum(e.analysis is not None for e in entries)
+    assert diagrams == 21
+    assert list(counted.values()) == [diagrams, diagrams]
+
+
+@pytest.mark.parametrize("bad, raised", [
+    # both outside the sign vote: table order decides
+    (("11n22", "11n155"), "11n22"),
+    # the vote's record is built first, though later in the table
+    (("11n22", "11n40"), "11n40"),
+    # both in the vote: table order again
+    (("11n17", "11n178"), "11n17"),
+])
+def test_first_inconsistent_record_is_the_one_reported(
+        knots_csv, certificates_csv, tmp_path, bad, raised):
+    first = edit_dataset(knots_csv, tmp_path, bad[0], determinant="1")
+    both = edit_dataset(first, tmp_path, bad[1], determinant="1")
+    with pytest.raises(InconsistencyError) as err:
+        pipeline.run_classification(both, certificates_csv)
+    assert str(err.value).startswith(f"{raised}: |det G|")
+
+
+def test_arf_must_agree_with_the_determinant(knots_csv, certificates_csv,
+                                             tmp_path, capsys):
+    """Levine: Arf(K) = 0 iff |det K| = +-1 (mod 8); 11n155 has det 51,
+    which is 3 mod 8, so its Arf invariant is 1."""
+    bad = edit_dataset(knots_csv, tmp_path, "11n155", arf="0")
+    with pytest.raises(InconsistencyError,
+                       match=r"^11n155: ingested Arf invariant 0 but \|det G\| "
+                             r"= 51 is 3 mod 8"):
+        pipeline.run_classification(bad, certificates_csv)
+    assert main(["classify", "--dataset", str(bad), "--out",
+                 str(tmp_path / "r.json")]) == 4
+    assert "Arf" in capsys.readouterr().err
