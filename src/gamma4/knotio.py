@@ -190,10 +190,9 @@ class KnotRecord:
     definiteness: int | None = None
 
     def check(self):
-        """Validate the record's internal invariants; returns error strings."""
+        """Validate the record's invariants beyond its cells' syntax (which
+        rejects a signed crossing number); returns error strings."""
         problems = []
-        if self.crossings < 0:
-            problems.append("negative crossing number")
         if self.signature is not None and self.signature % 2 != 0:
             problems.append(f"odd signature {self.signature}")
         if self.arf is not None and self.arf not in (0, 1):
@@ -225,11 +224,6 @@ class KnotRecord:
         return problems
 
 
-DATASET_COLUMNS = ["name", "crossings", "pd", "signature", "arf", "g4",
-                   "u_lo", "u_hi", "us_lo", "us_hi", "c4_lo", "c4_hi",
-                   "crosscap_hi", "slice", "determinant", "definiteness"]
-
-
 def _parse_int(cell, what, allow_sign=True):
     cell = cell.strip()
     if not re.fullmatch(r"[+-]?\d+" if allow_sign else r"\d+", cell):
@@ -246,15 +240,39 @@ def _parse_bool(cell, what):
     raise ValueError(f"bad boolean {what}: {cell!r}")
 
 
-def _load_rows(path, columns, from_row):
+def _knot_name(cell, _what):
+    if not cell.strip():
+        raise ValueError("empty knot name")
+    return cell.strip()
+
+
+def _optional_int(cell, what):
+    return _parse_int(cell, what) if cell.strip() else None
+
+
+# column -> parser, in column order: a row reports its first bad cell
+_DATASET_PARSERS = dict(
+    name=_knot_name,
+    crossings=lambda cell, what: _parse_int(cell, what, allow_sign=False),
+    pd=lambda cell, _what: parse_pd(cell.strip()) if cell.strip() else None,
+    **dict.fromkeys(["signature", "arf", "g4", "u_lo", "u_hi", "us_lo", "us_hi",
+                     "c4_lo", "c4_hi", "crosscap_hi"], _optional_int),
+    slice=_parse_bool, determinant=_optional_int, definiteness=_optional_int)
+
+DATASET_COLUMNS = list(_DATASET_PARSERS)
+
+
+def _load_rows(path, columns, from_row, unique_names=False):
     """Parse each data row of a CSV with the mandatory ``columns`` by
     ``from_row``, in table order.  A header naming a column twice is
     rejected.  Missing trailing cells read as empty; cells beyond the
-    header reject the row.  Rejected rows are collected and reported
+    header reject the row, and with ``unique_names`` so does an item named
+    like an earlier one.  Rejected rows are collected and reported
     together in a single :class:`DataError` with their row numbers."""
     path = Path(path)
     items = []
     failures = []
+    first_rows = {}  # item name -> its row number
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
@@ -272,9 +290,15 @@ def _load_rows(path, columns, from_row):
                                  f"the {len(reader.fieldnames)}-column header"))
                 continue
             try:
-                items.append(from_row(row))
+                item = from_row(row)
             except (ValueError, PDSyntaxError, PDSemanticError) as exc:
                 failures.append((lineno, str(exc)))
+                continue
+            if unique_names and first_rows.setdefault(item.name, lineno) != lineno:
+                failures.append((lineno, f"duplicate knot name {item.name} "
+                                         f"(first at row {first_rows[item.name]})"))
+                continue
+            items.append(item)
     if failures:
         listing = "; ".join(f"row {ln}: {msg}" for ln, msg in failures)
         raise DataError(f"{path}: rejected rows: {listing}",
@@ -283,37 +307,14 @@ def _load_rows(path, columns, from_row):
 
 
 def load_dataset(path):
-    """Load ``knots.csv`` and return the records in table order; rows
-    violating the record invariants are rejected with their row numbers."""
-    return _load_rows(path, DATASET_COLUMNS, _record_from_row)
+    """The records of ``knots.csv`` in table order; a row breaking the record
+    invariants or repeating a knot name is rejected with its row number."""
+    return _load_rows(path, DATASET_COLUMNS, _record_from_row, unique_names=True)
 
 
 def _record_from_row(row):
-    def opt(col, allow_sign=True):
-        cell = row[col].strip()
-        if cell == "":
-            return None
-        return _parse_int(cell, col, allow_sign)
-
-    name = row["name"].strip()
-    if not name:
-        raise ValueError("empty knot name")
-    pd_cell = row["pd"].strip()
-    record = KnotRecord(
-        name=name,
-        crossings=_parse_int(row["crossings"], "crossings", allow_sign=False),
-        pd=parse_pd(pd_cell) if pd_cell else None,
-        signature=opt("signature"),
-        arf=opt("arf"),
-        g4=opt("g4"),
-        u_lo=opt("u_lo"), u_hi=opt("u_hi"),
-        us_lo=opt("us_lo"), us_hi=opt("us_hi"),
-        c4_lo=opt("c4_lo"), c4_hi=opt("c4_hi"),
-        crosscap_hi=opt("crosscap_hi"),
-        slice=_parse_bool(row["slice"], "slice"),
-        determinant=opt("determinant"),
-        definiteness=opt("definiteness"),
-    )
+    record = KnotRecord(**{column: parse(row[column], column)
+                           for column, parse in _DATASET_PARSERS.items()})
     problems = record.check()
     if problems:
         raise ValueError("; ".join(problems))

@@ -13,7 +13,8 @@ Only the columns of order > 1 are carried through the products.  The
 matrix algebra stays in Z (``exactalg`` takes and returns integers only,
 G^{-1} as the pair (N, d) with G*N = d*I), and so does the form: it is
 stored as the integer matrix b_ij = lambda(g_i, g_j) * d_j mod d_j, and a
-``Fraction`` is built only where a value is rendered.
+``Fraction`` is built only where a value is rendered.  A form is validated
+when it is built; fixing its sign negates b and re-validates nothing.
 
 The double branched cover of a knot has |H1| = |Delta(-1)|, which is odd,
 so a form is defined on groups of odd order only, and only odd primes
@@ -35,7 +36,7 @@ the orbit of generator self-linkings is reported by its square class.
 [MY2000]  Murakami, Yasuhara, non-orientable surfaces and the clasp number.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -137,17 +138,15 @@ class LinkingForm:
         return tuple(tuple(Fraction(x, d) for x, d in zip(row, orders))
                      for row in self.b)
 
-    def _signed_b(self, sign):
-        return self.b if sign == 1 else tuple(
-            tuple(-x for x in row) for row in self.b)
-
-    def negated(self):
-        return replace(self, b=self._signed_b(-1))
-
     def fix_sign(self, sign):
-        """Return the form with the global sign resolved to +1 or -1,
-        constructed (and so validated) once."""
-        return replace(self, b=self._signed_b(sign), sign_fixed=True)
+        """The form with its global sign resolved to +1 or -1, built without
+        ``__post_init__``: negation keeps it symmetric and nondegenerate."""
+        orders = self.group.invariant_factors
+        b = self.b if sign == 1 else tuple(
+            tuple(-x % d for x, d in zip(row, orders)) for row in self.b)
+        signed = object.__new__(type(self))
+        vars(signed).update(group=self.group, b=b, sign_fixed=True)
+        return signed
 
     def self_value(self):
         """lambda(g, g) on the generator of a cyclic group."""

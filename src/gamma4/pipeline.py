@@ -7,7 +7,8 @@ run along the way: the sign of det G must be (-1)^((dim G - sig(G))/2),
 signature the ingested signature, and the ingested Arf invariant must be
 0 exactly when |det G| = +-1 (mod 8) [Levine], whenever both sides exist.
 A failed cross-check is an inconsistency (bad data, a miscalibrated
-convention or an elimination bug), not a warning.
+convention or an elimination bug), not a warning.  They run once, when a
+cover is built; ``knotio`` checks rows, repeated names included, at load.
 
 Each diagram's double cover (``DoubleCover``: Goeritz data, det,
 signature, homology and the linking form before its sign is fixed) is
@@ -147,7 +148,10 @@ def resolve_sign_convention(records, requested, covers=None):
     carrying a definiteness column resolves inconsistently under +1 while
     all resolving consistently under -1, in which case the convention is
     flipped (a uniform flip is a convention artifact; a mixed pattern is
-    genuine data and is left alone).
+    genuine data and is left alone).  ``not all(under_minus)`` never
+    decides: negation swaps +1/n and -1/n, so a row obstructed under +1 is
+    NotObstructed under -1, and a row is Inapplicable under both signs or
+    neither; all(under_plus) thus leaves under_minus nonempty and all False.
 
     Each voting record's double cover is built once and read under both
     signs; it is stored in ``covers`` under ``id(rec)``, so a caller can
@@ -189,16 +193,11 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
                        sign_convention=SIGN_AUTO):
     """Classify every knot in the dataset; returns (entries, metadata).
 
-    Raises InconsistencyError when any cross-check or bound contradiction
-    fires; the CLI maps that onto exit code 4.
+    Raises DataError on a rejected row and InconsistencyError when any
+    cross-check or bound contradiction fires; both are exit code 4.
     """
     records = load_dataset(dataset_path)
     certs = load_certificates(certificates_path)
-    names = set()
-    for rec in records:
-        if rec.name in names:
-            raise InconsistencyError(f"duplicate knot name {rec.name}")
-        names.add(rec.name)
 
     covers = {}
     sign, sign_note = resolve_sign_convention(records, sign_convention, covers)

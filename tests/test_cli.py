@@ -223,6 +223,28 @@ def test_classify_empty_dataset(capsys, tmp_path):
     assert doc["summary"]["total"] == 0 and doc["knots"] == []
 
 
+def dataset_with_11n38_twice(tmp_path, knots_csv):
+    """The bundled 11n38 row (row 2), then 11n17's row renamed 11n38."""
+    lines = knots_csv.read_text().splitlines()
+    first = next(line for line in lines if line.startswith("11n38,"))
+    second = next(line for line in lines if line.startswith("11n17,"))
+    knots = tmp_path / "knots.csv"
+    knots.write_text(f"{lines[0]}\n{first}\n11n38{second[len('11n17'):]}\n")
+    return knots
+
+
+@pytest.mark.parametrize("command", [["obstruct"], ["linkform", "--json"],
+                                     ["classify"]])
+def test_a_repeated_knot_name_exits_4_in_every_command(
+        capsys, tmp_path, knots_csv, command):
+    knots = dataset_with_11n38_twice(tmp_path, knots_csv)
+    target = (["--out", str(tmp_path / "r.json")] if command == ["classify"]
+              else ["--knot", "11n38"])
+    code, out, err = run(capsys, *command, *target, "--dataset", str(knots))
+    assert code == 4 and out == ""
+    assert "row 3: duplicate knot name 11n38 (first at row 2)" in err
+
+
 def test_missing_dataset_file(capsys, tmp_path):
     code, _out, err = run(capsys, "classify",
                           "--dataset", str(tmp_path / "nope.csv"),

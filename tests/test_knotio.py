@@ -1,13 +1,15 @@
 """PD parsing, rendering, and CSV ingestion."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from conftest import TREFOIL_PD, mirror, torus2
 from gamma4.errors import DataError, PDSemanticError, PDSyntaxError
-from gamma4.knotio import (SLICE, load_certificates, load_dataset,
-                           over_directions, parse_pd, render_pd)
+from gamma4.knotio import (DATASET_COLUMNS, SLICE, KnotRecord,
+                           load_certificates, load_dataset, over_directions,
+                           parse_pd, render_pd)
 
 
 def test_parse_unknot():
@@ -158,6 +160,10 @@ def test_non_integer_field_rejected(tmp_path):
     path = _write_csv(tmp_path, ["k1,11,,zero,0,1,,,,,,,,false,,"])
     with pytest.raises(DataError):
         load_dataset(path)
+    # the crossing number is read unsigned, so a negative one never loads
+    path = _write_csv(tmp_path, ["k1,-11,,,,,,,,,,,,false,,"])
+    with pytest.raises(DataError, match="row 2: non-integer crossings: '-11'"):
+        load_dataset(path)
 
 
 def test_missing_mandatory_column(tmp_path):
@@ -188,6 +194,27 @@ def test_bad_rows_are_all_reported(tmp_path):
     with pytest.raises(DataError) as err:
         load_dataset(path)
     assert err.value.rows == (2, 4)
+
+
+def test_repeated_name_is_one_more_rejected_row(tmp_path):
+    path = _write_csv(tmp_path, [
+        "k1,11,,,,,,,,,,,,false,,",
+        "k2,11,,3,,,,,,,,,,false,,",     # odd signature
+        "k1,11,,,,,,,,,,,,false,,",      # k1 again
+        "k2,11,,,,,,,,,,,,false,,",      # row 3 was rejected: first k2
+        "k2,11,,,,,,,,,,,,false,,",
+    ])
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert err.value.rows == (3, 4, 6)
+    assert str(err.value).endswith(
+        "rejected rows: row 3: odd signature 3; "
+        "row 4: duplicate knot name k1 (first at row 2); "
+        "row 6: duplicate knot name k2 (first at row 5)")
+
+
+def test_dataset_columns_are_the_record_fields_in_order():
+    assert DATASET_COLUMNS == [f.name for f in fields(KnotRecord)]
 
 
 

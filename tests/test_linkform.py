@@ -249,26 +249,26 @@ def test_degenerate_form_above_2000_elements_is_rejected():
 def test_sign_flip_negates_values_but_not_verdicts():
     for n, k in ((51, 20), (47, 1), (55, 42), (63, 61)):
         f = cyclic_form(n, k)
-        g = f.negated()
+        g = f.fix_sign(-1)
         assert g.self_value() == (-f.self_value()) % 1
         assert (mobius_obstruction_cyclic(f).result
                 == mobius_obstruction_cyclic(g).result)
 
 
 def test_fix_sign_constructs_and_validates_the_signed_form_once(monkeypatch):
+    """The form was validated when it was built; negation keeps it
+    symmetric and nondegenerate, so fixing the sign validates nothing."""
     form = LinkingForm(group=FiniteAbelianGroup((3, 9)), b=((1, 3), (1, 1)))
-    negated = form.negated()
-    assert not negated.sign_fixed
-    assert negated.b == ((2, 6), (2, 8))
+    negated = LinkingForm(group=form.group, b=((2, 6), (2, 8)), sign_fixed=True)
     validations = []
     validate = LinkingForm.__post_init__
     monkeypatch.setattr(LinkingForm, "__post_init__",
                         lambda self: validations.append(validate(self)))
-    for sign, expected in ((1, form), (-1, negated)):
+    for sign, expected in ((1, replace(form, sign_fixed=True)), (-1, negated)):
         validations.clear()
         fixed = form.fix_sign(sign)
-        assert len(validations) == 1
-        assert fixed == replace(expected, sign_fixed=True)
+        assert validations == []
+        assert fixed == expected
 
 
 # --- generator orbit ---------------------------------------------------------
@@ -546,7 +546,17 @@ def test_klein_discriminant_examples():
 
 def test_klein_insensitive_to_global_sign():
     f = diag_form(5, 1, 2)
-    assert klein_discriminant(f).result == klein_discriminant(f.negated()).result
+    assert klein_discriminant(f).result == klein_discriminant(f.fix_sign(-1)).result
+
+
+def test_klein_reads_the_off_diagonal_entry():
+    # disc = 1*2 - 1*1 = 1 mod 5; a*c + b*b would read 3, which is not
+    # +-square mod 5 (the +-squares are 1 and 4), and flip the verdict
+    f = LinkingForm(group=FiniteAbelianGroup((5, 5)), b=((1, 1), (1, 2)))
+    for sign in (1, -1):
+        verdict = klein_discriminant(f.fix_sign(sign))
+        assert verdict.result == NOT_OBSTRUCTED
+        assert verdict.witness.startswith("discriminant 1 ")
 
 
 def klein_by_squares_set(p, disc):

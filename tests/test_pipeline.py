@@ -5,14 +5,18 @@ import hashlib
 import itertools
 import json
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
 from gamma4 import bounds, pipeline
 from gamma4.bounds import GammaBounds
 from gamma4.cli import main
-from gamma4.errors import InconsistencyError
+from gamma4.errors import DataError, InconsistencyError
 from gamma4.knotio import DATASET_COLUMNS, render_pd
+from gamma4.linkform import (INAPPLICABLE, NOT_OBSTRUCTED, OBSTRUCTED,
+                             FiniteAbelianGroup, LinkingForm,
+                             definiteness_consistency)
 
 HEADER = ",".join(DATASET_COLUMNS)
 CERT_HEADER = "source,h,target,target_gamma4,figure_ref"
@@ -80,7 +84,8 @@ def test_duplicate_names_rejected(tmp_path, certificates_csv):
         "k1,11,,,,,,,,,,,,false,,",
     ])
     certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [])
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(DataError, match=r"row 3: duplicate knot name k1 "
+                                        r"\(first at row 2\)"):
         pipeline.run_classification(knots, certs)
 
 
@@ -162,6 +167,30 @@ def test_sign_convention_flips_on_uniform_contradiction(tmp_path, dataset_by_nam
     assert "flipped" in meta["linking_sign"]["note"]
     # under the flipped convention the row is consistent: no obstruction
     assert entries[0].bounds.lower == 1
+
+
+def test_sign_vote_minus_clause_never_decides():
+    """Why ``resolve_sign_convention`` needs no ``not all(under_minus)``:
+    on every unit k of Z_n and for both required signs, a definiteness row
+    obstructed under +1 is NotObstructed under -1, and a row is
+    Inapplicable under both signs or under neither."""
+    obstructed = 0
+    for n in range(3, 200, 2):
+        group = FiniteAbelianGroup((n,))
+        for k in range(1, n):
+            if gcd(k, n) != 1:
+                continue
+            form = LinkingForm(group=group, b=((k,),))
+            for required in (1, -1):
+                plus, minus = (definiteness_consistency(form.fix_sign(s),
+                                                        required).result
+                               for s in (1, -1))
+                if plus == OBSTRUCTED:
+                    obstructed += 1
+                    assert minus == NOT_OBSTRUCTED, (n, k, required)
+                assert (plus == INAPPLICABLE) == (minus == INAPPLICABLE), (
+                    n, k, required)
+    assert obstructed > 0
 
 
 def test_sign_convention_mixed_pattern_keeps_plus(classification):
@@ -366,6 +395,33 @@ def test_a_shared_cover_gives_the_same_analysis(dataset):
         for sign, klein in itertools.product((1, -1), (False, True)):
             assert (pipeline.analyze_diagram(rec, sign, klein, cover=cover)
                     == pipeline.analyze_diagram(rec, sign, klein)), rec.name
+
+
+def test_an_analysis_on_a_built_cover_computes_no_determinant():
+    """The granny knot (H1 = Z3 + Z3) has a 2x2 nondegeneracy minor, which
+    the cover's linking form checked once; fixing the sign and running the
+    verdicts, Klein's included, take no determinant."""
+    import sys
+    from conftest import connect_sum, torus2
+    from gamma4 import exactalg
+    from gamma4.knotio import KnotRecord
+    rec = KnotRecord(name="granny", crossings=6,
+                     pd=connect_sum(torus2(3), torus2(3)))
+    cover = pipeline.double_cover(rec)
+    assert cover.group.invariant_factors == (3, 3)
+    calls = []
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code is exactalg.det.__code__:
+            calls.append(frame)
+
+    for sign, klein in itertools.product((1, -1), (False, True)):
+        sys.setprofile(count)
+        try:
+            pipeline.analyze_diagram(rec, sign, klein, cover=cover)
+        finally:
+            sys.setprofile(None)
+        assert calls == [], (sign, klein)
 
 
 @pytest.mark.parametrize("convention", ["auto", "fixed+", "fixed-"])
