@@ -20,15 +20,17 @@ Rule inventory (citations name the classical sources):
 * linking-form verdicts (module linkform) obstruct gamma_4 = 1 only, so
   they raise the lower bound to exactly 2.
 
-``classify`` applies these rules to one knot.  ``classify_all`` sweeps it
+``classify`` applies these rules to one knot.  ``classify_all`` runs it
 over a dataset with the band-move ledger: a certificate onto a knot
 outside the dataset trusts the ledger's gamma_4 = 1, one onto a knot in
-the dataset uses that knot's current upper bound.  Uppers only ever
-decrease, so the sweeps reach a fixed point; one that has not settled
-after len(records) + 1 sweeps is an InconsistencyError.  Then every
-ledger claim about a knot in the dataset must agree with the run: a
-proven lower bound above 1, determined or not, contradicts a claim of
-gamma_4 = 1, and a claim that the knot is slice needs its slice flag.
+the dataset uses that knot's upper bound, so every in-dataset target is
+classified before its source.  A cycle of such moves is swept within
+itself; uppers only ever decrease, so the sweeps reach a fixed point, and
+one that has not settled after len(cycle) + 1 sweeps is an
+InconsistencyError.  Then every ledger claim about a knot in the dataset
+must agree with the run: a proven lower bound above 1, determined or
+not, contradicts a claim of gamma_4 = 1, and a claim that the knot is
+slice needs its slice flag.
 """
 
 from dataclasses import dataclass, field
@@ -187,8 +189,6 @@ def classify(rec, verdicts, certs, resolve_target):
         b.cut_upper(1, RULE_SLICE, "slice knot bounds a Mobius band")
         b.cut_gamma_bar(0, RULE_SLICE, "slice disk has b1 = 0")
         return b
-    if rec.g4 == 0:
-        raise InconsistencyError(f"{rec.name}: g4 = 0 without the slice flag")
 
     floor = f"floor({rec.crossings}/2)"
     b.cut_upper(rec.crossings // 2, RULE_CROSSING, floor)
@@ -235,11 +235,22 @@ def classify(rec, verdicts, certs, resolve_target):
 def classify_all(records, verdicts, certs):
     """{name: GammaBounds} for every record under the certificate ledger
     (see the module docstring); ``verdicts`` maps a knot name to its
-    linking-form verdicts, and a knot missing from it has none."""
+    linking-form verdicts, and a knot missing from it has none.
+
+    One pass in table order: an iterative Tarjan search (Tarjan, SIAM J.
+    Comput. 1, 1972) settles each strongly connected component of the in-dataset target edges after
+    every component it reaches, so a knot outside a cycle is classified
+    once, and a cycle (or a knot targeting itself) is swept within itself.
+    When two knots are each contradictory, the InconsistencyError names
+    the one classified first, which may be a target listed after its
+    source.
+    """
     by_name = {rec.name: rec for rec in records}
     certs_by_source = {}
     for cert in certs:
         certs_by_source.setdefault(cert.source, []).append(cert)
+    targets = {source: [c.target for c in cs if c.target in by_name]
+               for source, cs in certs_by_source.items()}
     bounds = {}
 
     def resolve(cert):
@@ -248,21 +259,55 @@ def classify_all(records, verdicts, certs):
         prior = bounds.get(cert.target)
         return None if prior is None else prior.upper
 
-    for _ in range(len(records) + 1):
-        changed = False
-        for rec in records:
-            new = classify(rec, verdicts.get(rec.name, []),
-                           certs_by_source.get(rec.name, ()), resolve)
-            old = bounds.get(rec.name)
-            if old is None or (new.lower, new.upper) != (old.lower, old.upper):
-                changed = True
-            bounds[rec.name] = new
-        if not changed:
-            break
-    else:
+    def settle(component):
+        # a cycle of n knots settles within n + 1 sweeps, in any order
+        cyclic = (len(component) > 1
+                  or component[0] in targets.get(component[0], ()))
+        for _ in range(len(component) + 1 if cyclic else 1):
+            changed = False
+            for name in component:
+                new = classify(by_name[name], verdicts.get(name, []),
+                               certs_by_source.get(name, ()), resolve)
+                old = bounds.get(name)
+                if old is None or (new.lower, new.upper) != (old.lower, old.upper):
+                    changed = True
+                bounds[name] = new
+            if not (cyclic and changed):
+                return
         raise InconsistencyError(
-            f"certificate bounds did not converge after {len(records) + 1} "
+            f"certificate bounds did not converge after {len(component) + 1} "
             f"sweeps")
+
+    # a visited knot without bounds is still on Tarjan's stack
+    number, low, stack, path = {}, {}, [], []
+
+    def enter(name):
+        number[name] = low[name] = len(number)
+        stack.append(name)
+        path.append((name, iter(targets.get(name, ()))))
+
+    for rec in records:
+        if rec.name not in number:
+            enter(rec.name)
+        while path:
+            name, edges = path[-1]
+            for target in edges:
+                if target not in number:
+                    enter(target)
+                    break
+                if target not in bounds:
+                    low[name] = min(low[name], number[target])
+            else:
+                path.pop()
+                if path:
+                    above = path[-1][0]
+                    low[above] = min(low[above], low[name])
+                if low[name] == number[name]:
+                    at = len(stack) - 1
+                    while stack[at] != name:
+                        at -= 1
+                    settle(stack[at:])
+                    del stack[at:]
 
     for cert in certs:
         got = bounds.get(cert.target)

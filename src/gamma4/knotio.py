@@ -24,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import DataError, PDSemanticError, PDSyntaxError
@@ -205,6 +206,8 @@ class KnotRecord:
                 problems.append("slice knot with g4 != 0")
             if self.signature not in (None, 0):
                 problems.append("slice knot with nonzero signature")
+        elif self.g4 == 0:
+            problems.append("g4 = 0 without the slice flag")
         if self.definiteness not in (None, 1, -1):
             problems.append(f"definiteness {self.definiteness} not +-1")
         for lo, hi, what in ((self.u_lo, self.u_hi, "u"),
@@ -224,9 +227,13 @@ class KnotRecord:
         return problems
 
 
+_INT = re.compile(r"[+-]?\d+")
+_UNSIGNED = re.compile(r"\d+")
+
+
 def _parse_int(cell, what, allow_sign=True):
     cell = cell.strip()
-    if not re.fullmatch(r"[+-]?\d+" if allow_sign else r"\d+", cell):
+    if not (_INT if allow_sign else _UNSIGNED).fullmatch(cell):
         raise ValueError(f"non-integer {what}: {cell!r}")
     return int(cell)
 
@@ -262,35 +269,44 @@ _DATASET_PARSERS = dict(
 DATASET_COLUMNS = list(_DATASET_PARSERS)
 
 
-def _load_rows(path, columns, from_row, unique_names=False):
-    """Parse each data row of a CSV with the mandatory ``columns`` by
-    ``from_row``, in table order.  A header naming a column twice is
-    rejected.  Missing trailing cells read as empty; cells beyond the
-    header reject the row, and with ``unique_names`` so does an item named
-    like an earlier one.  Rejected rows are collected and reported
-    together in a single :class:`DataError` with their row numbers."""
+def _load_rows(path, columns, from_cells, unique_names=False):
+    """Parse each data row of a CSV with the mandatory ``columns``, in
+    table order, by ``from_cells(*cells)`` with the row's cells in
+    ``columns`` order.  A header naming a column twice is rejected.  Blank
+    lines are skipped and not counted.  Missing trailing cells read as empty;
+    cells beyond the header reject the row, and with ``unique_names`` so
+    does an item named like an earlier one.  Rejected rows are collected
+    and reported together in a single :class:`DataError` with their row
+    numbers."""
     path = Path(path)
     items = []
     failures = []
     first_rows = {}  # item name -> its row number
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, header required")
-        missing = [c for c in columns if c not in reader.fieldnames]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise DataError(f"{path}: missing mandatory columns {missing}")
-        # DictReader would keep only the last cell of a repeated column
-        repeated = [c for c, k in Counter(reader.fieldnames).items() if k > 1]
+        repeated = [c for c, k in Counter(header).items() if k > 1]
         if repeated:
             raise DataError(f"{path}: header names columns more than once {repeated}")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row:  # DictReader files surplus cells under None
-                failures.append((lineno, f"{len(row[None])} cell(s) beyond "
-                                 f"the {len(reader.fieldnames)}-column header"))
+        width = len(header)
+        cells_of = itemgetter(*map(header.index, columns))
+        lineno = 1
+        for row in reader:
+            if not row:
                 continue
+            lineno += 1
+            if len(row) > width:
+                failures.append((lineno, f"{len(row) - width} cell(s) beyond "
+                                 f"the {width}-column header"))
+                continue
+            row += [""] * (width - len(row))
             try:
-                item = from_row(row)
+                item = from_cells(*cells_of(row))
             except (ValueError, PDSyntaxError, PDSemanticError) as exc:
                 failures.append((lineno, str(exc)))
                 continue
@@ -312,9 +328,9 @@ def load_dataset(path):
     return _load_rows(path, DATASET_COLUMNS, _record_from_row, unique_names=True)
 
 
-def _record_from_row(row):
-    record = KnotRecord(**{column: parse(row[column], column)
-                           for column, parse in _DATASET_PARSERS.items()})
+def _record_from_row(*cells):
+    record = KnotRecord(*[parse(cell, column) for (column, parse), cell
+                          in zip(_DATASET_PARSERS.items(), cells)])
     problems = record.check()
     if problems:
         raise ValueError("; ".join(problems))
@@ -353,21 +369,19 @@ def load_certificates(path):
     return _load_rows(path, CERTIFICATE_COLUMNS, _certificate_from_row)
 
 
-def _certificate_from_row(row):
-    source = row["source"].strip()
-    target = row["target"].strip()
+def _certificate_from_row(source, h, target, target_gamma4, figure_ref):
+    source = source.strip()
     if not source:
         raise ValueError("empty source name")
-    h = _parse_int(row["h"], "h")
+    h = _parse_int(h, "h")
     if h not in (-1, 0, 1):
         raise ValueError(f"band twist h={h} not in {{-1,0,1}}")
-    tg_cell = row["target_gamma4"].strip().lower()
+    tg_cell = target_gamma4.strip().lower()
     if tg_cell == SLICE:
         tg = SLICE
     else:
         tg = _parse_int(tg_cell, "target_gamma4")
         if tg != 1:
             raise ValueError(f"target_gamma4 {tg} must be 1 or 'slice'")
-    return BandMoveCertificate(source=source, h=h, target=target,
-                               target_gamma4=tg,
-                               figure_ref=row["figure_ref"].strip())
+    return BandMoveCertificate(source=source, h=h, target=target.strip(),
+                               target_gamma4=tg, figure_ref=figure_ref.strip())

@@ -101,11 +101,6 @@ def test_upper_misc():
     assert classify(rec(slice=True, g4=0), [], [], lambda c: None).upper == 1
 
 
-def test_upper_misc_rejects_nonslice_genus_zero():
-    with pytest.raises(InconsistencyError, match="g4 = 0 without the slice"):
-        classify(rec(g4=0), [], [], lambda c: None)
-
-
 # certificates ----------------------------------------------------------------
 
 

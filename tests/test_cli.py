@@ -245,6 +245,25 @@ def test_a_repeated_knot_name_exits_4_in_every_command(
     assert "row 3: duplicate knot name 11n38 (first at row 2)" in err
 
 
+@pytest.mark.parametrize("command", [["obstruct"], ["linkform", "--json"],
+                                     ["classify"]])
+def test_genus_zero_without_the_slice_flag_exits_4_in_every_command(
+        capsys, tmp_path, knots_csv, command):
+    with open(knots_csv, newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if r["name"] == "11n38")
+    row["g4"] = "0"
+    knots = tmp_path / "knots.csv"
+    with knots.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=DATASET_COLUMNS)
+        writer.writeheader()
+        writer.writerow(row)
+    target = (["--out", str(tmp_path / "r.json")] if command == ["classify"]
+              else ["--knot", "11n38"])
+    code, out, err = run(capsys, *command, *target, "--dataset", str(knots))
+    assert code == 4 and out == ""
+    assert "row 2: g4 = 0 without the slice flag" in err
+
+
 def test_missing_dataset_file(capsys, tmp_path):
     code, _out, err = run(capsys, "classify",
                           "--dataset", str(tmp_path / "nope.csv"),

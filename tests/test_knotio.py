@@ -7,9 +7,9 @@ import pytest
 
 from conftest import TREFOIL_PD, mirror, torus2
 from gamma4.errors import DataError, PDSemanticError, PDSyntaxError
-from gamma4.knotio import (DATASET_COLUMNS, SLICE, KnotRecord,
-                           load_certificates, load_dataset, over_directions,
-                           parse_pd, render_pd)
+from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS, SLICE,
+                           KnotRecord, load_certificates, load_dataset,
+                           over_directions, parse_pd, render_pd)
 
 
 def test_parse_unknot():
@@ -150,6 +150,15 @@ def test_slice_with_positive_genus_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_genus_zero_without_the_slice_flag_rejected(tmp_path):
+    path = _write_csv(tmp_path, ["k1,11,,,,0,,,,,,,,false,,"])
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value).endswith(
+        "rejected rows: row 2: g4 = 0 without the slice flag")
+    assert load_dataset(_write_csv(tmp_path, ["k1,11,,,,0,,,,,,,,true,,"]))
+
+
 def test_even_determinant_rejected(tmp_path):
     path = _write_csv(tmp_path, ["k1,11,,0,0,1,,,,,,,,false,10,"])
     with pytest.raises(DataError):
@@ -238,6 +247,24 @@ def test_surplus_cells_reject_the_row(tmp_path):
     assert err.value.rows == (3,)
 
 
+def test_blank_lines_are_skipped_and_not_counted(tmp_path):
+    rows = ["k1,11,,,,,,,,,,,,false,,", "", "k2,11,,,,,,,,,,,,false,,"]
+    assert [r.name for r in load_dataset(_write_csv(tmp_path, rows))] == ["k1", "k2"]
+    path = _write_csv(tmp_path, rows + ["", "", "k3,11,,3,,,,,,,,,,false,,"])
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value).endswith("rejected rows: row 4: odd signature 3")
+    assert err.value.rows == (4,)
+
+
+def test_blank_first_line_is_a_header_without_columns(tmp_path):
+    path = tmp_path / "knots.csv"
+    path.write_text("\n" + ",".join(DATASET_COLUMNS) + "\nk1,11,,,,,,,,,,,,false,,\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: missing mandatory columns {DATASET_COLUMNS}"
+
+
 # certificates --------------------------------------------------------------
 
 
@@ -310,3 +337,21 @@ def test_certificate_repeated_column_rejected(tmp_path):
                     "A,0,B,1,Fig. 1,C\n")
     with pytest.raises(DataError, match=r"more than once \['target'\]"):
         load_certificates(path)
+
+
+def test_certificate_blank_lines_are_skipped_and_not_counted(tmp_path):
+    rows = ["X,0,Y,1,a", "", "X,1,Z,slice,b"]
+    certs = load_certificates(_write_certs(tmp_path, rows))
+    assert [c.figure_ref for c in certs] == ["a", "b"]
+    with pytest.raises(DataError) as err:
+        load_certificates(_write_certs(tmp_path, rows + ["", "X,2,Y,1,c"]))
+    assert str(err.value).endswith("rejected rows: row 4: band twist h=2 not in {-1,0,1}")
+    assert err.value.rows == (4,)
+
+
+def test_certificate_blank_first_line_is_a_header_without_columns(tmp_path):
+    path = tmp_path / "certificates.csv"
+    path.write_text("\n" + ",".join(CERTIFICATE_COLUMNS) + "\nX,0,Y,1,a\n")
+    with pytest.raises(DataError) as err:
+        load_certificates(path)
+    assert str(err.value) == f"{path}: missing mandatory columns {CERTIFICATE_COLUMNS}"

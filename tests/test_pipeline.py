@@ -110,11 +110,15 @@ def test_certificate_chain_resolves_by_fixed_point(tmp_path):
 
 def test_certificate_sweep_that_never_settles_is_an_inconsistency(
         tmp_path, monkeypatch, capsys):
+    # only a cycle of band moves is swept, so the guard needs one: a <-> b
     knots = write_rows(tmp_path / "knots.csv", HEADER, [
         "a,11,,,,,,,,,,,,false,,",
         "b,11,,,,,,,,,,,,false,,",
     ])
-    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [])
+    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [
+        "a,0,b,1,f1",
+        "b,0,a,1,f2",
+    ])
     calls = itertools.count()
 
     def never_settling(rec, verdicts, certs, resolve):
