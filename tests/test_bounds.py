@@ -267,7 +267,7 @@ def test_every_rule_golden_trail():
 
 
 def test_classify_all_trusts_an_outside_target_and_chains_inside():
-    # b comes first, so a's bound reaches it only in the second sweep
+    # b comes first, so its target a must be classified before it
     records = [rec(name="b"), rec(name="a")]
     certs = [cert(source="b", target="a"), cert(source="a", target="x")]
     bounds = classify_all(records, {}, certs)

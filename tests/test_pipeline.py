@@ -90,9 +90,8 @@ def test_duplicate_names_rejected(tmp_path, certificates_csv):
 
 
 def test_certificate_chain_resolves_by_fixed_point(tmp_path):
-    """b's upper bound depends on a's classification, which arrives in a
-    later sweep; the chain c -> b -> a -> slice settles at [1,2]-style
-    uppers 1, 2, 3."""
+    """b's upper bound depends on a's classification and c's on b's; the
+    chain c -> b -> a -> slice settles at uppers 1, 2, 3."""
     knots = write_rows(tmp_path / "knots.csv", HEADER, [
         "a,11,,,,,,,,,,,,false,,",
         "b,11,,,,,,,,,,,,false,,",
