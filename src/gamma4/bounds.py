@@ -34,6 +34,7 @@ slice needs its slice flag.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InconsistencyError
 from .knotio import SLICE
@@ -66,15 +67,14 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     rule: str
     citation: str
     detail: str
 
     @classmethod
     def make(cls, rule, detail):
-        return cls(rule=rule, citation=CITATIONS.get(rule, rule), detail=detail)
+        return cls(rule, CITATIONS.get(rule, rule), detail)
 
 
 @dataclass

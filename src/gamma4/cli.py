@@ -74,8 +74,9 @@ def _analyze_knot(args):
 
     The sign is resolved over the loaded dataset as ``classify`` resolves
     it, so both report the same verdicts for the same data.  The vote's
-    double cover of the record is reused; a ``--pd-override`` record is a
-    new object, so it gets its own.
+    covers are keyed by PD code: the record reuses one only for its own
+    diagram, a ``--pd-override`` included, and its own cross-checks run
+    either way.
     """
     records = load_dataset(_dataset_path(args))
     rec = next((r for r in records if r.name == args.knot), None)
@@ -90,9 +91,9 @@ def _analyze_knot(args):
     covers = {}
     sign, _note = pipeline.resolve_sign_convention(records, args.sign_convention,
                                                    covers)
-    return rec, sign, pipeline.analyze_diagram(rec, sign,
-                                               enable_klein=args.enable_klein,
-                                               cover=covers.get(id(rec)))
+    return rec, sign, pipeline.analyze_diagram(
+        rec, sign, enable_klein=args.enable_klein,
+        cover=pipeline.double_cover(rec, covers))
 
 
 def cmd_goeritz(args):

@@ -20,6 +20,7 @@ is the ledger of non-oriented band moves ``source --h--> target``.
 """
 
 import csv
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -227,13 +228,11 @@ class KnotRecord:
         return problems
 
 
-_INT = re.compile(r"[+-]?\d+")
-_UNSIGNED = re.compile(r"\d+")
-
-
 def _parse_int(cell, what, allow_sign=True):
-    cell = cell.strip()
-    if not (_INT if allow_sign else _UNSIGNED).fullmatch(cell):
+    """An optional sign, when allowed, then decimal digits (Unicode Nd, as
+    ``\\d`` reads them); ``cell`` comes stripped."""
+    digits = cell[1:] if allow_sign and cell.startswith(("+", "-")) else cell
+    if not digits.isdecimal():
         raise ValueError(f"non-integer {what}: {cell!r}")
     return int(cell)
 
@@ -254,13 +253,14 @@ def _knot_name(cell, _what):
 
 
 def _optional_int(cell, what):
-    return _parse_int(cell, what) if cell.strip() else None
+    cell = cell.strip()
+    return _parse_int(cell, what) if cell else None
 
 
 # column -> parser, in column order: a row reports its first bad cell
 _DATASET_PARSERS = dict(
     name=_knot_name,
-    crossings=lambda cell, what: _parse_int(cell, what, allow_sign=False),
+    crossings=lambda cell, what: _parse_int(cell.strip(), what, allow_sign=False),
     pd=lambda cell, _what: parse_pd(cell.strip()) if cell.strip() else None,
     **dict.fromkeys(["signature", "arf", "g4", "u_lo", "u_hi", "us_lo", "us_hi",
                      "c4_lo", "c4_hi", "crosscap_hi"], _optional_int),
@@ -269,52 +269,61 @@ _DATASET_PARSERS = dict(
 DATASET_COLUMNS = list(_DATASET_PARSERS)
 
 
-def _load_rows(path, columns, from_cells, unique_names=False):
+def _load_rows(path, data, columns, from_cells, unique_names=False):
     """Parse each data row of a CSV with the mandatory ``columns``, in
     table order, by ``from_cells(*cells)`` with the row's cells in
-    ``columns`` order.  A header naming a column twice is rejected.  Blank
+    ``columns`` order.  The file is read as UTF-8 from ``data``, its bytes,
+    or from ``path`` when ``data`` is None; ``path`` names it in errors.
+    A header naming a column twice is rejected.  Blank
     lines are skipped and not counted.  Missing trailing cells read as empty;
     cells beyond the header reject the row, and with ``unique_names`` so
     does an item named like an earlier one.  Rejected rows are collected
     and reported together in a single :class:`DataError` with their row
     numbers."""
     path = Path(path)
+    if data is None:
+        data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: byte "
+                        f"0x{data[exc.start]:02x} at offset {exc.start}") from None
     items = []
     failures = []
     first_rows = {}  # item name -> its row number
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, header required")
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing mandatory columns {missing}")
-        repeated = [c for c, k in Counter(header).items() if k > 1]
-        if repeated:
-            raise DataError(f"{path}: header names columns more than once {repeated}")
-        width = len(header)
-        cells_of = itemgetter(*map(header.index, columns))
-        lineno = 1
-        for row in reader:
-            if not row:
-                continue
-            lineno += 1
-            if len(row) > width:
-                failures.append((lineno, f"{len(row) - width} cell(s) beyond "
-                                 f"the {width}-column header"))
-                continue
-            row += [""] * (width - len(row))
-            try:
-                item = from_cells(*cells_of(row))
-            except (ValueError, PDSyntaxError, PDSemanticError) as exc:
-                failures.append((lineno, str(exc)))
-                continue
-            if unique_names and first_rows.setdefault(item.name, lineno) != lineno:
-                failures.append((lineno, f"duplicate knot name {item.name} "
-                                         f"(first at row {first_rows[item.name]})"))
-                continue
-            items.append(item)
+    # newline="" splits lines as a file opened for csv does
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file, header required")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing mandatory columns {missing}")
+    repeated = [c for c, k in Counter(header).items() if k > 1]
+    if repeated:
+        raise DataError(f"{path}: header names columns more than once {repeated}")
+    width = len(header)
+    cells_of = itemgetter(*map(header.index, columns))
+    lineno = 1
+    for row in reader:
+        if not row:
+            continue
+        lineno += 1
+        if len(row) > width:
+            failures.append((lineno, f"{len(row) - width} cell(s) beyond "
+                             f"the {width}-column header"))
+            continue
+        row += [""] * (width - len(row))
+        try:
+            item = from_cells(*cells_of(row))
+        except (ValueError, PDSyntaxError, PDSemanticError) as exc:
+            failures.append((lineno, str(exc)))
+            continue
+        if unique_names and first_rows.setdefault(item.name, lineno) != lineno:
+            failures.append((lineno, f"duplicate knot name {item.name} "
+                                     f"(first at row {first_rows[item.name]})"))
+            continue
+        items.append(item)
     if failures:
         listing = "; ".join(f"row {ln}: {msg}" for ln, msg in failures)
         raise DataError(f"{path}: rejected rows: {listing}",
@@ -322,10 +331,12 @@ def _load_rows(path, columns, from_cells, unique_names=False):
     return items
 
 
-def load_dataset(path):
+def load_dataset(path, data=None):
     """The records of ``knots.csv`` in table order; a row breaking the record
-    invariants or repeating a knot name is rejected with its row number."""
-    return _load_rows(path, DATASET_COLUMNS, _record_from_row, unique_names=True)
+    invariants or repeating a knot name is rejected with its row number.
+    ``data``, when given, is the file's bytes, already read."""
+    return _load_rows(path, data, DATASET_COLUMNS, _record_from_row,
+                      unique_names=True)
 
 
 def _record_from_row(*cells):
@@ -363,17 +374,18 @@ class BandMoveCertificate:
 CERTIFICATE_COLUMNS = ["source", "h", "target", "target_gamma4", "figure_ref"]
 
 
-def load_certificates(path):
+def load_certificates(path, data=None):
     """Load ``certificates.csv``; certificates with h outside {-1,0,1} or a
-    target_gamma4 outside {1, slice} are rejected with their row numbers."""
-    return _load_rows(path, CERTIFICATE_COLUMNS, _certificate_from_row)
+    target_gamma4 outside {1, slice} are rejected with their row numbers.
+    ``data``, when given, is the file's bytes, already read."""
+    return _load_rows(path, data, CERTIFICATE_COLUMNS, _certificate_from_row)
 
 
 def _certificate_from_row(source, h, target, target_gamma4, figure_ref):
     source = source.strip()
     if not source:
         raise ValueError("empty source name")
-    h = _parse_int(h, "h")
+    h = _parse_int(h.strip(), "h")
     if h not in (-1, 0, 1):
         raise ValueError(f"band twist h={h} not in {{-1,0,1}}")
     tg_cell = target_gamma4.strip().lower()

@@ -7,13 +7,17 @@ run along the way: the sign of det G must be (-1)^((dim G - sig(G))/2),
 signature the ingested signature, and the ingested Arf invariant must be
 0 exactly when |det G| = +-1 (mod 8) [Levine], whenever both sides exist.
 A failed cross-check is an inconsistency (bad data, a miscalibrated
-convention or an elimination bug), not a warning.  They run once, when a
-cover is built; ``knotio`` checks rows, repeated names included, at load.
+convention or an elimination bug), not a warning.  The det-sign check runs
+when a cover is built; the checks against a record's ingested values run
+for every record that reads the cover.  ``knotio`` checks rows, repeated
+names included, at load.
 
 Each diagram's double cover (``DoubleCover``: Goeritz data, det,
 signature, homology and the linking form before its sign is fixed) is
-computed once per run.  The sign vote reads it under both signs and the
-final pass reuses it, since fixing the sign only negates the form.
+computed once per run and per distinct diagram: a run keys its covers by
+PD code, so records that share a diagram share its cover.  The sign vote
+reads a cover under both signs and the final pass reuses it, since fixing
+the sign only negates the form.  Nothing is kept from one run to the next.
 
 The intervals, band-move certificates included, come from
 ``bounds.classify_all``.
@@ -86,9 +90,26 @@ class DoubleCover:
     signature: int
 
 
-def double_cover(rec):
-    """Goeritz -> det, signature and their cross-checks -> homology ->
-    unsigned linking form for one record."""
+def double_cover(rec, covers=None):
+    """``rec``'s double branched cover, cross-checked against ``rec``.
+
+    ``covers`` (a dict kept for one run) maps a PD code to its cover: a
+    diagram found there is not built again, and a new one is stored.  The
+    ingested determinant, signature and Arf invariant are checked against
+    the cover on every call, so each record sharing a diagram gets its own
+    checks."""
+    cover = None if covers is None else covers.get(rec.pd)
+    if cover is None:
+        cover = _build_cover(rec)
+        if covers is not None:
+            covers[rec.pd] = cover
+    _check_ingested(rec, cover)
+    return cover
+
+
+def _build_cover(rec):
+    """Goeritz -> det, signature and the det-sign check -> homology ->
+    unsigned linking form for ``rec``'s diagram."""
     gd = planar.goeritz(rec.pd)
     det_g = exactalg.det(gd.g)
     sig = planar.signature_via_goeritz(gd)
@@ -99,23 +120,26 @@ def double_cover(rec):
         raise InconsistencyError(
             f"{rec.name}: det G = {det_g} but sig(G) = {sig + gd.mu} on "
             f"dimension {len(gd.g)}; the signature elimination is wrong")
-    if rec.determinant is not None and abs(det_g) != rec.determinant:
-        raise InconsistencyError(
-            f"{rec.name}: |det G| = {abs(det_g)} but the table says "
-            f"{rec.determinant}")
-    if rec.signature is not None and sig != rec.signature:
-        raise InconsistencyError(
-            f"{rec.name}: Goeritz signature {sig} disagrees with the ingested "
-            f"signature {rec.signature}; convention or data error")
-    # Levine: a knot's Arf invariant is 0 iff |det| = +-1 (mod 8)
-    arf = 0 if abs(det_g) % 8 in (1, 7) else 1
-    if rec.arf is not None and rec.arf != arf:
-        raise InconsistencyError(
-            f"{rec.name}: ingested Arf invariant {rec.arf} but |det G| = "
-            f"{abs(det_g)} is {abs(det_g) % 8} mod 8; Arf = 0 iff |det| = "
-            f"+-1 (mod 8) [Levine]")
     return DoubleCover(goeritz=gd, group=homology(gd), form=linking_form(gd),
                        det=abs(det_g), signature=sig)
+
+
+def _check_ingested(rec, cover):
+    det = cover.det
+    if rec.determinant is not None and det != rec.determinant:
+        raise InconsistencyError(
+            f"{rec.name}: |det G| = {det} but the table says "
+            f"{rec.determinant}")
+    if rec.signature is not None and cover.signature != rec.signature:
+        raise InconsistencyError(
+            f"{rec.name}: Goeritz signature {cover.signature} disagrees with "
+            f"the ingested signature {rec.signature}; convention or data error")
+    # Levine: a knot's Arf invariant is 0 iff |det| = +-1 (mod 8)
+    if rec.arf is not None and rec.arf != (0 if det % 8 in (1, 7) else 1):
+        raise InconsistencyError(
+            f"{rec.name}: ingested Arf invariant {rec.arf} but |det G| = "
+            f"{det} is {det % 8} mod 8; Arf = 0 iff |det| = "
+            f"+-1 (mod 8) [Levine]")
 
 
 def analyze_diagram(rec, sign, enable_klein=False, cover=None):
@@ -153,9 +177,10 @@ def resolve_sign_convention(records, requested, covers=None):
     NotObstructed under -1, and a row is Inapplicable under both signs or
     neither; all(under_plus) thus leaves under_minus nonempty and all False.
 
-    Each voting record's double cover is built once and read under both
-    signs; it is stored in ``covers`` under ``id(rec)``, so a caller can
-    reuse it for that very record object and for no other.
+    Each voting record's double cover is read under both signs.  It is
+    looked up in, or stored into, ``covers`` under the record's PD code
+    (see :func:`double_cover`), so a caller passing the same dict reuses it
+    for any record with that diagram.
     """
     if requested == SIGN_PLUS:
         return 1, "forced +G^-1"
@@ -167,7 +192,7 @@ def resolve_sign_convention(records, requested, covers=None):
     for rec in records:
         if rec.pd is None or rec.definiteness is None:
             continue
-        cover = covers[id(rec)] = double_cover(rec)
+        cover = double_cover(rec, covers)
         for sign in (1, -1):
             analysis = analyze_diagram(rec, sign, cover=cover)
             verdict = next((v for v in analysis.verdicts
@@ -196,18 +221,21 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
     Raises DataError on a rejected row and InconsistencyError when any
     cross-check or bound contradiction fires; both are exit code 4.
     """
-    records = load_dataset(dataset_path)
-    certs = load_certificates(certificates_path)
+    # each file is read once: parsed and hashed from the same bytes
+    dataset = Path(dataset_path).read_bytes()
+    records = load_dataset(dataset_path, dataset)
+    certificates = Path(certificates_path).read_bytes()
+    certs = load_certificates(certificates_path, certificates)
 
-    covers = {}
+    covers = {}  # PD code -> DoubleCover, for this run only
     sign, sign_note = resolve_sign_convention(records, sign_convention, covers)
 
     # the vote's covers are reused; the rest are built here, in table order
     analyses = {}
     for rec in records:
         if rec.pd is not None:
-            analyses[rec.name] = analyze_diagram(rec, sign, enable_klein,
-                                                 covers.get(id(rec)))
+            analyses[rec.name] = analyze_diagram(
+                rec, sign, enable_klein, double_cover(rec, covers))
 
     bounds = classify_all(
         records, {name: a.verdicts for name, a in analyses.items()}, certs)
@@ -220,8 +248,8 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
         "calibration": planar.calibration(),
         "linking_sign": {"value": sign, "note": sign_note,
                          "requested": sign_convention},
-        "dataset_sha256": _digest(dataset_path),
-        "certificates_sha256": _digest(certificates_path),
+        "dataset_sha256": hashlib.sha256(dataset).hexdigest(),
+        "certificates_sha256": hashlib.sha256(certificates).hexdigest(),
         "dataset_path": str(dataset_path),
         "certificates_path": str(certificates_path),
         "knots": len(records),
@@ -229,10 +257,6 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
         "klein_enabled": enable_klein,
     }
     return entries, metadata
-
-
-def _digest(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def summarize(entries):

@@ -264,6 +264,28 @@ def test_genus_zero_without_the_slice_flag_exits_4_in_every_command(
     assert "row 2: g4 = 0 without the slice flag" in err
 
 
+@pytest.mark.parametrize("command, bad", [("classify", "knots"),
+                                          ("classify", "certificates"),
+                                          ("obstruct", "knots")])
+def test_a_file_that_is_not_utf8_exits_4(capsys, tmp_path, knots_csv,
+                                         certificates_csv, command, bad):
+    """A 0xff byte in row 2's first cell names the file and the offset."""
+    paths = {"knots": knots_csv, "certificates": certificates_csv}
+    data = paths[bad].read_bytes()
+    at = data.index(b"\n") + 1
+    paths[bad] = tmp_path / f"{bad}.csv"
+    paths[bad].write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    argv = [command, "--dataset", str(paths["knots"])]
+    if command == "classify":
+        argv += ["--certificates", str(paths["certificates"]),
+                 "--out", str(tmp_path / "r.json")]
+    else:
+        argv += ["--knot", "11n38"]
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert f"{paths[bad]}: not UTF-8 text: byte 0xff at offset {at}" in err
+
+
 def test_missing_dataset_file(capsys, tmp_path):
     code, _out, err = run(capsys, "classify",
                           "--dataset", str(tmp_path / "nope.csv"),

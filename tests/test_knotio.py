@@ -1,15 +1,17 @@
 """PD parsing, rendering, and CSV ingestion."""
 
 import random
+import re
 from dataclasses import fields
 
 import pytest
 
 from conftest import TREFOIL_PD, mirror, torus2
 from gamma4.errors import DataError, PDSemanticError, PDSyntaxError
-from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS, SLICE,
-                           KnotRecord, load_certificates, load_dataset,
-                           over_directions, parse_pd, render_pd)
+from gamma4.knotio import (_DATASET_PARSERS, CERTIFICATE_COLUMNS,
+                           DATASET_COLUMNS, SLICE, KnotRecord, _parse_int,
+                           load_certificates, load_dataset, over_directions,
+                           parse_pd, render_pd)
 
 
 def test_parse_unknot():
@@ -173,6 +175,43 @@ def test_non_integer_field_rejected(tmp_path):
     path = _write_csv(tmp_path, ["k1,-11,,,,,,,,,,,,false,,"])
     with pytest.raises(DataError, match="row 2: non-integer crossings: '-11'"):
         load_dataset(path)
+
+
+def _regex_parse_int(cell, what, allow_sign=True):
+    """An integer cell read by the ``[+-]?\\d+`` pattern: the reference
+    for the regex-free parser."""
+    cell = cell.strip()
+    if not re.fullmatch(r"[+-]?\d+" if allow_sign else r"\d+", cell):
+        raise ValueError(f"non-integer {what}: {cell!r}")
+    return int(cell)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cell", [" 7 ", "+3", "-0", "\u0661\u0662", "\u00b2",
+                                  "1_000", "3.0", "+", "0x1", "+11", "", "- 1"])
+def test_integer_cells_read_as_the_regex_did(cell):
+    """Every integer cell gives the value, or the message, that the
+    ``[+-]?\\d+`` pattern gave: signed (an invariant, a band twist) and
+    unsigned (the crossing number, which rejects "+11")."""
+    signed = _outcome(_regex_parse_int, cell, "signature")
+    unsigned = _outcome(_regex_parse_int, cell, "crossings", False)
+    if cell.strip():
+        assert _outcome(_DATASET_PARSERS["signature"], cell, "signature") == signed
+    assert _outcome(_DATASET_PARSERS["crossings"], cell, "crossings") == unsigned
+    assert _outcome(_parse_int, cell.strip(), "signature") == signed
+
+
+def test_decimal_digits_are_what_the_regex_called_digits():
+    """``str.isdecimal`` and ``\\d`` on ``str`` both mean Unicode category
+    Nd, at every code point."""
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\d", every) == [ch for ch in every if ch.isdecimal()]
 
 
 def test_missing_mandatory_column(tmp_path):

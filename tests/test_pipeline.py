@@ -430,9 +430,10 @@ def test_an_analysis_on_a_built_cover_computes_no_determinant():
 @pytest.mark.parametrize("convention", ["auto", "fixed+", "fixed-"])
 def test_one_double_cover_per_diagram_per_run(knots_csv, certificates_csv,
                                               convention):
-    """The sign vote reads its diagrams' covers under both signs and the
-    final pass reuses them: 21 diagrams, 21 Goeritz matrices and 21
-    linking forms, whatever the convention."""
+    """Covers are keyed by PD code, and the sign vote and the final pass
+    share them: the 21 diagrams hold 16 distinct PD codes, so a run builds
+    16 Goeritz matrices and 16 linking forms, whatever the convention.  Two
+    runs build 2 x 16: no cover outlives its run."""
     import sys
     from gamma4 import linkform, planar
     counted = {planar.goeritz.__code__: 0, linkform.linking_form.__code__: 0}
@@ -441,15 +442,63 @@ def test_one_double_cover_per_diagram_per_run(knots_csv, certificates_csv,
         if event == "call" and frame.f_code in counted:
             counted[frame.f_code] += 1
 
+    after = []
     sys.setprofile(count)
     try:
-        entries, _meta = pipeline.run_classification(
-            knots_csv, certificates_csv, sign_convention=convention)
+        for _ in range(2):
+            entries, _meta = pipeline.run_classification(
+                knots_csv, certificates_csv, sign_convention=convention)
+            after.append(list(counted.values()))
     finally:
         sys.setprofile(None)
-    diagrams = sum(e.analysis is not None for e in entries)
-    assert diagrams == 21
-    assert list(counted.values()) == [diagrams, diagrams]
+    diagrams = [e.record.pd for e in entries if e.analysis is not None]
+    assert (len(diagrams), len(set(diagrams))) == (21, 16)
+    assert after == [[16, 16], [2 * 16, 2 * 16]]
+
+
+def rows_sharing_a_diagram(knots_csv, tmp_path, **second):
+    """11n22 and then 11n112, which share one PD code, as a table of their
+    own; ``second`` replaces cells of the 11n112 row."""
+    with open(knots_csv, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["name"] in ("11n22", "11n112")]
+    assert [r["name"] for r in rows] == ["11n22", "11n112"]
+    assert rows[0]["pd"] == rows[1]["pd"]
+    rows[1].update(second)
+    out = tmp_path / "shared.csv"
+    with out.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=DATASET_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return out
+
+
+@pytest.mark.parametrize("cell, value, message", [
+    ("determinant", "1", "|det G| = 55 but the table says 1"),
+    ("signature", "-2", "Goeritz signature 2 disagrees with the ingested "
+                        "signature -2"),
+    ("arf", "1", "ingested Arf invariant 1 but |det G| = 55 is 7 mod 8"),
+])
+def test_a_shared_diagram_is_checked_against_each_record(
+        knots_csv, tmp_path, cell, value, message):
+    """The second record reads the first one's cover, and its own ingested
+    values are still checked against it."""
+    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [])
+    bad = rows_sharing_a_diagram(knots_csv, tmp_path, **{cell: value})
+    with pytest.raises(InconsistencyError) as err:
+        pipeline.run_classification(bad, certs)
+    assert str(err.value).startswith(f"11n112: {message}")
+
+
+def test_records_sharing_a_diagram_get_the_analysis_of_their_own(
+        knots_csv, tmp_path):
+    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [])
+    entries, meta = pipeline.run_classification(
+        rows_sharing_a_diagram(knots_csv, tmp_path), certs)
+    first, second = (e.analysis for e in entries)
+    assert first.goeritz is second.goeritz  # one cover for both
+    sign = meta["linking_sign"]["value"]
+    for e in entries:
+        assert e.analysis == pipeline.analyze_diagram(e.record, sign)
 
 
 @pytest.mark.parametrize("bad, raised", [
