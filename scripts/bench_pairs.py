@@ -19,8 +19,8 @@ pairs (ties count for neither side), and the medians further apart than
 the parent's quartile distance.  ``--traced-seeds`` adds traced pairs on
 the claimed workload with their per-operation calls and self times.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --pr 18 --seeds 1801-1810 \\
-        --claim bundled:throughput_ops_s --traced-seeds 1821-1823 \\
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seeds 101-110 \\
+        --claim bundled:throughput_ops_s --traced-seeds 121-123 \\
         --work-dir /tmp/bench --note "what the change does"
 
 The benchmark's files are only read, never edited.
