@@ -4,20 +4,25 @@
 Each side is a clean source tree in a scratch directory: the parent from
 ``git archive`` of a commit, the change from a commit or, by default, the
 working tree's tracked and unignored files as they are on disk.  Neither
-holds a ``__pycache__``, and each runs its own ``perfbench/run.py``.  Per
-seed the workloads run in turn; within a pair both sides get the same seed
-and run one at a time, the parent first in the even pairs (the first seed,
-the third, ...) and the change first in the odd ones.
+holds a ``__pycache__``, and each runs its own ``perfbench/run.py``.  The
+two trees must hold the same ``BENCHMARK.json`` and ``perfbench/``, byte
+for byte, or the script stops before it runs anything: a change is judged
+by the parent's benchmark, never by one it edits.  Every workload of
+``BENCHMARK.json`` runs for its ``run_seconds``; per seed the workloads run
+in turn, and within a pair both sides get the same seed and run one at a
+time, the parent first in the even pairs (the first seed, the third, ...)
+and the change first in the odd ones.
 
-The record (``BENCH_<pr>.json``) gives, per workload and end-to-end
+The record (``BENCH_<pr>.json`` at the repository root) gives, per workload and end-to-end
 metric, each side's median and quartiles over its runs, the relative
 change of the median in the metric's worse direction against the bound in
 ``BENCHMARK.json``, and the pairs the change won; and whether the two
 sides write the same bundled report and summary CSV.  With ``--claim`` it
 checks a claimed gain: the change better in at least nine tenths of the
 pairs (ties count for neither side), and the medians further apart than
-the parent's quartile distance.  ``--traced-seeds`` adds traced pairs on
-the claimed workload with their per-operation calls and self times.
+the parent's quartile distance.  ``--traced-seeds`` adds traced pairs of
+``TRACED_SECONDS`` on the claimed workload with their per-operation calls
+and self times.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seeds 101-110 \\
         --claim bundled:throughput_ops_s --traced-seeds 121-123 \\
@@ -42,6 +47,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
+TRACED_SECONDS = 10
 TRACED_METRICS = ("planar.goeritz.calls", "exactalg.det.calls",
                   "linkform.linking_form.calls", "pipeline.analyze_diagram.calls",
                   "bounds.classify.calls", "knotio.load_dataset.ms",
@@ -69,6 +76,23 @@ def tree_from_worktree(dest):
         if source.is_file():  # a tracked file deleted on disk is left out
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name)
+
+
+def benchmark_files(tree):
+    """Every file of the benchmark in ``tree``, by path relative to it."""
+    found = {}
+    for name in BENCHMARK_FILES:
+        top = tree / name
+        for path in [top] if top.is_file() else sorted(top.rglob("*")):
+            if path.is_file():
+                found[path.relative_to(tree).as_posix()] = path.read_bytes()
+    return found
+
+
+def differing_benchmark_files(trees):
+    parent, change = (benchmark_files(trees[side]) for side in SIDES)
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
 
 
 def seeds(text):
@@ -180,20 +204,15 @@ def main():
     parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--seeds", type=seeds, required=True,
                         help="one pair per seed, e.g. 1801-1810")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="default: every workload in BENCHMARK.json")
     parser.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain")
     parser.add_argument("--traced-seeds", type=seeds, default=[])
-    parser.add_argument("--traced-seconds", type=float, default=10)
     parser.add_argument("--work-dir", required=True, type=Path,
                         help="an empty or absent scratch directory for the trees")
     parser.add_argument("--note", default="", help="what the change does")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at "
-                        "the repository root")
     args = parser.parse_args()
 
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two pairs: give two seeds or more")
     if args.work_dir.exists() and any(args.work_dir.iterdir()):
         parser.error(f"{args.work_dir} is not empty")
     trees = {side: args.work_dir / side for side in SIDES}
@@ -205,10 +224,15 @@ def main():
     else:
         tree_from_worktree(trees["change"])
 
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    differing = differing_benchmark_files(trees)
+    if differing:
+        sys.exit("the change edits the benchmark; a claimed gain is measured "
+                 "on the parent's benchmark only. Differing files: "
+                 + ", ".join(differing))
+    spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
 
     results = {w: {side: [] for side in SIDES} for w in workloads}
     for i, seed in enumerate(args.seeds):
@@ -268,7 +292,7 @@ def main():
         record["traced"] = {}
         for i, seed in enumerate(args.traced_seeds):
             got = {side: run_side(trees[side], workload, seed,
-                                  args.traced_seconds, 1) for side in order(i)}
+                                  TRACED_SECONDS, 1) for side in order(i)}
             record["traced"][f"{workload} seed {seed}"] = {
                 "order": f"{order(i)[0]} first",
                 "correct": {s: got[s]["correct"] for s in SIDES},
@@ -279,7 +303,7 @@ def main():
                     for name in TRACED_METRICS},
             }
 
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     if record["claim"]:
         print(f"claim met: {record['claim']['met']}")
