@@ -172,6 +172,19 @@ def summarize(metric, runs):
     }
 
 
+def claimed(claim, spec):
+    """The (workload, metric) of a ``WORKLOAD:METRIC`` claim, checked against
+    the benchmark ``spec``; a name it does not declare stops the script."""
+    workload, _, name = claim.partition(":")
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if workload not in workloads or name not in metrics:
+        sys.exit(f"--claim {claim!r} is not WORKLOAD:METRIC of the parent's "
+                 f"BENCHMARK.json; workloads: {', '.join(workloads)}; "
+                 f"end-to-end metrics: {', '.join(metrics)}")
+    return workload, name
+
+
 def claim_check(workload, name, summary):
     pairs = len(summary["runs"]["parent"])
     needed = math.ceil(0.9 * pairs)
@@ -230,6 +243,7 @@ def main():
                  "on the parent's benchmark only. Differing files: "
                  + ", ".join(differing))
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    claim = claimed(args.claim, spec) if args.claim else None
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
@@ -282,13 +296,13 @@ def main():
                     for s in SIDES})
                 for name, metric in metrics.items()},
         }
-    if args.claim:
-        workload, _, name = args.claim.partition(":")
+    if claim:
+        workload, name = claim
         record["claim"] = claim_check(
             workload, name, record["workloads"][workload]["metrics"][name])
 
     if args.traced_seeds:
-        workload = args.claim.partition(":")[0] if args.claim else workloads[0]
+        workload = claim[0] if claim else workloads[0]
         record["traced"] = {}
         for i, seed in enumerate(args.traced_seeds):
             got = {side: run_side(trees[side], workload, seed,

@@ -72,10 +72,6 @@ class Reason(NamedTuple):
     citation: str
     detail: str
 
-    @classmethod
-    def make(cls, rule, detail):
-        return cls(rule, CITATIONS.get(rule, rule), detail)
-
 
 @dataclass
 class GammaBounds:
@@ -94,7 +90,8 @@ class GammaBounds:
     def raise_lower(self, value, rule, detail):
         if value > self.lower:
             self.lower = value
-            self.reasons.append(Reason.make(rule, f"lower >= {value}: {detail}"))
+            self.reasons.append(Reason(rule, CITATIONS.get(rule, rule),
+                                       f"lower >= {value}: {detail}"))
             if self.upper is not None and self.lower > self.upper:
                 raise InconsistencyError(
                     f"{self.name}: lower bound {self.lower} exceeds upper "
@@ -106,7 +103,8 @@ class GammaBounds:
                 f"{self.name}: rule {rule} produced upper bound {value} < 1")
         if self.upper is None or value < self.upper:
             self.upper = value
-            self.reasons.append(Reason.make(rule, f"upper <= {value}: {detail}"))
+            self.reasons.append(Reason(rule, CITATIONS.get(rule, rule),
+                                       f"upper <= {value}: {detail}"))
             if self.lower > self.upper:
                 raise InconsistencyError(
                     f"{self.name}: upper bound {self.upper} fell below lower "
@@ -115,7 +113,8 @@ class GammaBounds:
     def cut_gamma_bar(self, value, rule, detail):
         if self.gamma_bar_upper is None or value < self.gamma_bar_upper:
             self.gamma_bar_upper = value
-            self.reasons.append(Reason.make(rule, f"Gamma4 <= {value}: {detail}"))
+            self.reasons.append(Reason(rule, CITATIONS.get(rule, rule),
+                                       f"Gamma4 <= {value}: {detail}"))
 
     @property
     def determined(self):

@@ -24,7 +24,7 @@ from . import exactalg, planar, pipeline
 from .bounds import sig_arf_obstruction
 from .errors import (DataError, DiagramError, Gamma4Error, InconsistencyError,
                      KnotNotFound, PDSemanticError, PDSyntaxError)
-from .knotio import load_dataset, parse_pd, render_pd
+from .knotio import decode_utf8, load_dataset, parse_pd, render_pd
 from .linkform import square_class
 
 EXIT_OK = 0
@@ -65,7 +65,8 @@ def _load_pd(args):
     if args.pd:
         return parse_pd(args.pd)
     if args.pd_file:
-        return parse_pd(Path(args.pd_file).read_text())
+        data = Path(args.pd_file).read_bytes()
+        return parse_pd(decode_utf8(data, args.pd_file, PDSyntaxError))
     raise PDSyntaxError("no diagram given: use --pd or --pd-file")
 
 

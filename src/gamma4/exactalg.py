@@ -58,11 +58,10 @@ def integer_copy(m):
 
 def dimensions(m):
     """(rows, cols) of a rectangular matrix; raises on ragged input."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
+    widths = set(map(len, m))
+    if len(widths) > 1:
         raise ValueError("ragged matrix")
-    return rows, cols
+    return len(m), (widths.pop() if widths else 0)
 
 
 def require_square(m):

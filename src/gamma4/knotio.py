@@ -24,9 +24,11 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, PDSemanticError, PDSyntaxError
 
@@ -61,7 +63,7 @@ def parse_pd(text):
     :class:`PDSemanticError` (with the crossing index) when the quadruples
     violate a diagram invariant.
     """
-    squeezed = re.sub(r"\s+", "", text)
+    squeezed = "".join(text.split())
     m = _PD_RE.match(squeezed)
     if not m:
         raise PDSyntaxError(f"not a PD expression: {text!r}")
@@ -219,12 +221,9 @@ class KnotRecord:
         # ladder g4 <= c4 <= us <= u, checked pairwise on available bounds
         ladder = (("g4", self.g4, self.g4), ("c4", self.c4_lo, self.c4_hi),
                   ("us", self.us_lo, self.us_hi), ("u", self.u_lo, self.u_hi))
-        for i in range(len(ladder)):
-            for j in range(i + 1, len(ladder)):
-                lo_name, lo, _ = ladder[i]
-                hi_name, _, hi = ladder[j]
-                if lo is not None and hi is not None and lo > hi:
-                    problems.append(f"ladder violation: {lo_name} {lo} > {hi_name} {hi}")
+        for (lo_name, lo, _), (hi_name, _, hi) in combinations(ladder, 2):
+            if lo is not None and hi is not None and lo > hi:
+                problems.append(f"ladder violation: {lo_name} {lo} > {hi_name} {hi}")
         return problems
 
 
@@ -257,16 +256,27 @@ def _optional_int(cell, what):
     return _parse_int(cell, what) if cell else None
 
 
-# column -> parser, in column order: a row reports its first bad cell
+# column -> parser, in column order: a row reports its first bad cell.
+# PD cells are parsed by the memo of each load_dataset call.
 _DATASET_PARSERS = dict(
     name=_knot_name,
     crossings=lambda cell, what: _parse_int(cell.strip(), what, allow_sign=False),
-    pd=lambda cell, _what: parse_pd(cell.strip()) if cell.strip() else None,
+    pd=None,
     **dict.fromkeys(["signature", "arf", "g4", "u_lo", "u_hi", "us_lo", "us_hi",
                      "c4_lo", "c4_hi", "crosscap_hi"], _optional_int),
     slice=_parse_bool, determinant=_optional_int, definiteness=_optional_int)
 
 DATASET_COLUMNS = list(_DATASET_PARSERS)
+
+
+def decode_utf8(data, path, error):
+    """``data``, a file's bytes, as UTF-8 text; on a bad byte, raise
+    ``error`` naming the file ``path`` and the byte's offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte "
+                    f"0x{data[exc.start]:02x} at offset {exc.start}") from None
 
 
 def _load_rows(path, data, columns, from_cells, unique_names=False):
@@ -283,11 +293,7 @@ def _load_rows(path, data, columns, from_cells, unique_names=False):
     path = Path(path)
     if data is None:
         data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: byte "
-                        f"0x{data[exc.start]:02x} at offset {exc.start}") from None
+    text = decode_utf8(data, path, DataError)
     items = []
     failures = []
     first_rows = {}  # item name -> its row number
@@ -334,14 +340,31 @@ def _load_rows(path, data, columns, from_cells, unique_names=False):
 def load_dataset(path, data=None):
     """The records of ``knots.csv`` in table order; a row breaking the record
     invariants or repeating a knot name is rejected with its row number.
-    ``data``, when given, is the file's bytes, already read."""
-    return _load_rows(path, data, DATASET_COLUMNS, _record_from_row,
-                      unique_names=True)
+    ``data``, when given, is the file's bytes, already read.
+
+    Each distinct PD text is parsed once per call, and the rows holding it
+    share its :class:`PDCode`; a malformed cell is parsed, and rejected,
+    on every row that holds it."""
+    pds = {}  # stripped PD text -> its PDCode, successes only
+
+    def pd_cell(cell, _what):
+        text = cell.strip()
+        if not text:
+            return None
+        pd = pds.get(text)
+        if pd is None:
+            pd = pds[text] = parse_pd(text)
+        return pd
+
+    parsers = [(column, pd_cell if column == "pd" else parse)
+               for column, parse in _DATASET_PARSERS.items()]
+    return _load_rows(path, data, DATASET_COLUMNS,
+                      partial(_record_from_row, parsers), unique_names=True)
 
 
-def _record_from_row(*cells):
+def _record_from_row(parsers, *cells):
     record = KnotRecord(*[parse(cell, column) for (column, parse), cell
-                          in zip(_DATASET_PARSERS.items(), cells)])
+                          in zip(parsers, cells)])
     problems = record.check()
     if problems:
         raise ValueError("; ".join(problems))
@@ -355,8 +378,7 @@ def _record_from_row(*cells):
 SLICE = "slice"
 
 
-@dataclass(frozen=True)
-class BandMoveCertificate:
+class BandMoveCertificate(NamedTuple):
     """One non-oriented band move ``source --h--> target``.
 
     ``target_gamma4`` is the ledger's claim about the target: the integer 1

@@ -51,10 +51,13 @@ SIGN_PLUS = "fixed+"
 SIGN_MINUS = "fixed-"
 
 
+_DIGIT_RUNS = re.compile(r"(\d+)")
+
+
 def natural_key(name):
     """Sort key splitting digit runs: 11n2 < 11n10 < 11n100."""
     return tuple(int(tok) if tok.isdigit() else tok
-                 for tok in re.split(r"(\d+)", name))
+                 for tok in _DIGIT_RUNS.split(name))
 
 
 @dataclass

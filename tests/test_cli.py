@@ -58,6 +58,23 @@ def test_goeritz_from_file(capsys, tmp_path):
     assert code == 0 and "det G" in out
 
 
+def test_goeritz_pd_file_is_read_as_utf8(capsys, tmp_path):
+    """A no-break space (two bytes in UTF-8) is whitespace, whatever the
+    locale's encoding."""
+    path = tmp_path / "diagram.pd"
+    path.write_bytes(TREFOIL_PD.replace(" ", "\u00a0").encode("utf-8"))
+    code, out, _err = run(capsys, "goeritz", "--pd-file", str(path))
+    assert code == 0 and "det G" in out
+
+
+def test_goeritz_pd_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "diagram.pd"
+    path.write_bytes(b"PD[X[1,\xff")
+    code, out, err = run(capsys, "goeritz", "--pd-file", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}: not UTF-8 text: byte 0xff at offset 7" in err
+
+
 def test_obstruct_known_knot(capsys):
     code, out, _err = run(capsys, "obstruct", "--knot", "11n155")
     assert code == 0

@@ -1,5 +1,7 @@
 """PD parsing, rendering, and CSV ingestion."""
 
+import hashlib
+import json
 import random
 import re
 from dataclasses import fields
@@ -8,10 +10,11 @@ import pytest
 
 from conftest import TREFOIL_PD, mirror, torus2
 from gamma4.errors import DataError, PDSemanticError, PDSyntaxError
+from gamma4 import knotio
 from gamma4.knotio import (_DATASET_PARSERS, CERTIFICATE_COLUMNS,
-                           DATASET_COLUMNS, SLICE, KnotRecord, _parse_int,
-                           load_certificates, load_dataset, over_directions,
-                           parse_pd, render_pd)
+                           DATASET_COLUMNS, SLICE, BandMoveCertificate,
+                           KnotRecord, PDCode, _parse_int, load_certificates,
+                           load_dataset, over_directions, parse_pd, render_pd)
 
 
 def test_parse_unknot():
@@ -28,6 +31,17 @@ def test_parse_trefoil():
 def test_parse_is_whitespace_insensitive():
     spaced = "PD[ X[1,4,2,5] ,\n X[3,6,4,1],X[5,2,6,3] ]"
     assert parse_pd(spaced) == parse_pd(TREFOIL_PD)
+
+
+def test_whitespace_squeeze_is_what_the_regex_removed():
+    """``parse_pd`` squeezes with ``str.split()``, which removes the code
+    points ``re.sub(r"\\s+", "", ...)`` removed, at every code point."""
+    regex = re.compile(r"\s+")
+    differ = [hex(cp) for cp in range(0x110000)
+              if "".join(f"a{chr(cp)}b".split()) != regex.sub("", f"a{chr(cp)}b")]
+    assert differ == []
+    spaces = [chr(cp) for cp in range(0x110000) if not chr(cp).split()]
+    assert all(parse_pd(f"PD[{c}]") == PDCode(crossings=()) for c in spaces)
 
 
 def test_parse_reports_label_multiplicity_with_crossing_index():
@@ -107,6 +121,50 @@ def test_bundled_dataset_loads(dataset):
     assert all(rec.crossings == 11 for rec in dataset)
     assert sum(1 for rec in dataset if rec.slice) == 16
     assert sum(1 for rec in dataset if rec.pd is not None) == 21
+
+
+def _counting_parse_pd(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_pd(text)
+
+    monkeypatch.setattr(knotio, "parse_pd", counted)
+    return calls
+
+
+def test_each_distinct_pd_cell_is_parsed_once_per_load(monkeypatch, knots_csv):
+    """The bundled 21 PD cells hold 16 distinct texts; no memo outlives
+    its load."""
+    calls = _counting_parse_pd(monkeypatch)
+    records = load_dataset(knots_csv)
+    cells = [rec.pd for rec in records if rec.pd is not None]
+    assert len(cells) == 21 and len(calls) == 16 == len(set(calls))
+    load_dataset(knots_csv)
+    assert len(calls) == 32
+
+
+def test_rows_with_the_same_pd_text_share_one_pd_code(dataset):
+    by_text = {}
+    for rec in dataset:
+        if rec.pd is not None:
+            by_text.setdefault(render_pd(rec.pd), []).append(rec.pd)
+    shared = [pds for pds in by_text.values() if len(pds) > 1]
+    assert len(by_text) == 16 and len(shared) == 5
+    assert all(pd is pds[0] for pds in shared for pd in pds)
+
+
+def test_a_malformed_pd_cell_is_rejected_on_every_row(monkeypatch, tmp_path):
+    calls = _counting_parse_pd(monkeypatch)
+    bad = '"PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,2]]"'
+    path = _write_csv(tmp_path, [f"k1,3,{bad},,,,,,,,,,,false,,",
+                                 f"k2,3,\"{TREFOIL_PD}\",,,,,,,,,,,false,,",
+                                 f"k3,3,{bad},,,,,,,,,,,false,,"])
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert err.value.rows == (2, 4)
+    assert len(calls) == 3
 
 
 def test_dataset_order_independence(tmp_path, knots_csv):
@@ -318,6 +376,34 @@ def test_bundled_certificates_load(certificates_csv):
     assert by_source["11n38"][0].target == "3_1"
     assert by_source["11n1"][0].h == -1
     assert by_source["11n1"][0].target_gamma4 == SLICE
+
+
+# sha256 of the JSON list of every bundled certificate's fields, in
+# CERTIFICATE_COLUMNS order, as the frozen-dataclass certificates gave them
+BUNDLED_CERTIFICATES_SHA256 = (
+    "bebe5dcf55ec9ba40a5bd4bd80b30dd42842831c1351fe6122a696358c85e959")
+
+
+def test_bundled_certificate_fields_are_unchanged(certificates_csv):
+    certs = load_certificates(certificates_csv)
+    rows = [[getattr(c, name) for name in CERTIFICATE_COLUMNS] for c in certs]
+    assert rows[0] == ["11n38", 0, "3_1", 1, "Fig. 4"]
+    assert rows[-1] == ["11n129", 0, "unknown", SLICE,
+                        "band move stated without figure"]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == BUNDLED_CERTIFICATES_SHA256
+
+
+def test_certificate_is_an_immutable_value():
+    cert = BandMoveCertificate(source="11n38", h=0, target="3_1",
+                               target_gamma4=1)
+    assert cert.figure_ref == ""
+    assert list(BandMoveCertificate._fields) == CERTIFICATE_COLUMNS
+    assert cert == BandMoveCertificate("11n38", 0, "3_1", 1, "")
+    assert cert != BandMoveCertificate("11n38", 0, "3_1", SLICE, "")
+    for name in CERTIFICATE_COLUMNS:
+        with pytest.raises(AttributeError):
+            setattr(cert, name, "x")
 
 
 def _write_certs(tmp_path, rows):
