@@ -13,16 +13,17 @@ in turn, and within a pair both sides get the same seed and run one at a
 time, the parent first in the even pairs (the first seed, the third, ...)
 and the change first in the odd ones.
 
-The record (``BENCH_<pr>.json`` at the repository root) gives, per workload and end-to-end
-metric, each side's median and quartiles over its runs, the relative
-change of the median in the metric's worse direction against the bound in
-``BENCHMARK.json``, and the pairs the change won; and whether the two
-sides write the same bundled report and summary CSV.  With ``--claim`` it
-checks a claimed gain: the change better in at least nine tenths of the
-pairs (ties count for neither side), and the medians further apart than
-the parent's quartile distance.  ``--traced-seeds`` adds traced pairs of
-``TRACED_SECONDS`` on the claimed workload with their per-operation calls
-and self times.
+The record (``BENCH_<pr>.json`` at the repository root) gives, per
+workload and end-to-end metric, each side's median and quartiles over its
+runs, the relative change of the median in the metric's worse direction
+against the bound in ``BENCHMARK.json``, and the pairs the change won; and
+whether the two sides write the same bundled report and summary CSV under
+each sign convention (``auto``, ``fixed+``, ``fixed-``) and with
+``--enable-klein``.  With ``--claim`` it checks a claimed gain: the change
+better in at least nine tenths of the pairs (ties count for neither side),
+and the medians further apart than the parent's quartile distance.
+``--traced-seeds`` adds traced pairs of ``TRACED_SECONDS`` on the claimed
+workload with their per-operation calls and self times.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seeds 101-110 \\
         --claim bundled:throughput_ops_s --traced-seeds 121-123 \\
@@ -57,6 +58,10 @@ TRACED_METRICS = ("planar.goeritz.calls", "exactalg.det.calls",
                   "pipeline.run_classification.ms", "pipeline.report_json.ms",
                   "pipeline.resolve_sign_convention.ms",
                   "trace.throughput_ops_s", "trace.overhead_ratio")
+# the ``gamma4 classify`` flags of every setting whose report must not move
+IDENTITY_SETTINGS = {"auto": (), "fixed+": ("--sign-convention", "fixed+"),
+                     "fixed-": ("--sign-convention", "fixed-"),
+                     "enable-klein": ("--enable-klein",)}
 
 
 def git(*args):
@@ -120,19 +125,25 @@ def run_side(tree, workload, seed, seconds, trace):
 
 def report_identity(trees, work_dir):
     """sha256 of each side's bundled ``gamma4 classify`` report, with the
-    tree's own path taken out of its metadata, and of its summary CSV."""
-    digests = {}
+    tree's own path taken out of its metadata, and of its summary CSV, under
+    every one of ``IDENTITY_SETTINGS``; ``equal`` only when all of them
+    match."""
+    digests = {side: {} for side in trees}
     for side, tree in trees.items():
-        report, summary = work_dir / f"{side}.json", work_dir / f"{side}.csv"
-        subprocess.run([sys.executable, "-m", "gamma4.cli", "classify", "--out",
-                        str(report), "--summary-csv", str(summary)],
-                       cwd=tree, check=True, capture_output=True,
-                       env=dict(os.environ, PYTHONPATH=str(tree / "src"),
-                                PYTHONDONTWRITEBYTECODE="1"))
-        text = report.read_bytes().replace(str(tree).encode(), b"")
-        digests[side] = {"report_sha256": hashlib.sha256(text).hexdigest(),
-                         "summary_csv_sha256": hashlib.sha256(
-                             summary.read_bytes()).hexdigest()}
+        for setting, flags in IDENTITY_SETTINGS.items():
+            report = work_dir / f"{side}-{setting}.json"
+            summary = work_dir / f"{side}-{setting}.csv"
+            subprocess.run([sys.executable, "-m", "gamma4.cli", "classify",
+                            *flags, "--out", str(report), "--summary-csv",
+                            str(summary)],
+                           cwd=tree, check=True, capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=str(tree / "src"),
+                                    PYTHONDONTWRITEBYTECODE="1"))
+            text = report.read_bytes().replace(str(tree).encode(), b"")
+            digests[side][setting] = {
+                "report_sha256": hashlib.sha256(text).hexdigest(),
+                "summary_csv_sha256": hashlib.sha256(
+                    summary.read_bytes()).hexdigest()}
     return {**digests, "equal": digests["parent"] == digests["change"]}
 
 

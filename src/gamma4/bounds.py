@@ -23,14 +23,15 @@ Rule inventory (citations name the classical sources):
 ``classify`` applies these rules to one knot.  ``classify_all`` runs it
 over a dataset with the band-move ledger: a certificate onto a knot
 outside the dataset trusts the ledger's gamma_4 = 1, one onto a knot in
-the dataset uses that knot's upper bound, so every in-dataset target is
-classified before its source.  A cycle of such moves is swept within
-itself; uppers only ever decrease, so the sweeps reach a fixed point, and
-one that has not settled after len(cycle) + 1 sweeps is an
-InconsistencyError.  Then every ledger claim about a knot in the dataset
-must agree with the run: a proven lower bound above 1, determined or
-not, contradicts a claim of gamma_4 = 1, and a claim that the knot is
-slice needs its slice flag.
+the dataset uses that knot's upper bound, so each knot is classified after
+every in-dataset target it reaches.  That makes one sweep on an acyclic
+ledger.  A cycle of such moves is swept again, every knot of the ledger,
+until no (lower, upper) changes; uppers only ever decrease, so the sweeps
+reach a fixed point, and one that has not settled after len(records) + 1
+sweeps is an InconsistencyError.  Then every ledger claim about a knot in
+the dataset must agree with the run: a proven lower bound above 1,
+determined or not, contradicts a claim of gamma_4 = 1, and a claim that
+the knot is slice needs its slice flag.
 """
 
 from dataclasses import dataclass, field
@@ -236,12 +237,14 @@ def classify_all(records, verdicts, certs):
     (see the module docstring); ``verdicts`` maps a knot name to its
     linking-form verdicts, and a knot missing from it has none.
 
-    One pass in table order: an iterative Tarjan search (Tarjan, SIAM J.
-    Comput. 1, 1972) settles each strongly connected component of the in-dataset target edges after
-    every component it reaches, so a knot outside a cycle is classified
-    once, and a cycle (or a knot targeting itself) is swept within itself.
-    When two knots are each contradictory, the InconsistencyError names
-    the one classified first, which may be a target listed after its
+    The sweep order comes from an iterative depth-first search from each
+    record in table order: a knot is listed after every in-dataset target
+    it reaches, so an acyclic ledger settles in one sweep, one ``classify``
+    per knot.  A search that meets a knot still on its own path has found
+    a cycle (or a knot targeting itself), and then the whole ledger is
+    swept until it settles, not only the knots of the cycle.  When two
+    knots are each contradictory, the InconsistencyError names the one
+    this order classifies first, which may be a target listed after its
     source.
     """
     by_name = {rec.name: rec for rec in records}
@@ -258,55 +261,39 @@ def classify_all(records, verdicts, certs):
         prior = bounds.get(cert.target)
         return None if prior is None else prior.upper
 
-    def settle(component):
-        # a cycle of n knots settles within n + 1 sweeps, in any order
-        cyclic = (len(component) > 1
-                  or component[0] in targets.get(component[0], ()))
-        for _ in range(len(component) + 1 if cyclic else 1):
-            changed = False
-            for name in component:
-                new = classify(by_name[name], verdicts.get(name, []),
-                               certs_by_source.get(name, ()), resolve)
-                old = bounds.get(name)
-                if old is None or (new.lower, new.upper) != (old.lower, old.upper):
-                    changed = True
-                bounds[name] = new
-            if not (cyclic and changed):
-                return
-        raise InconsistencyError(
-            f"certificate bounds did not converge after {len(component) + 1} "
-            f"sweeps")
-
-    # a visited knot without bounds is still on Tarjan's stack
-    number, low, stack, path = {}, {}, [], []
-
-    def enter(name):
-        number[name] = low[name] = len(number)
-        stack.append(name)
-        path.append((name, iter(targets.get(name, ()))))
-
+    # a knot seen but not yet in ``order`` is on the current search path
+    order, seen, cyclic = {}, set(), False
     for rec in records:
-        if rec.name not in number:
-            enter(rec.name)
+        if rec.name in seen:
+            continue
+        seen.add(rec.name)
+        path = [(rec.name, iter(targets.get(rec.name, ())))]
         while path:
             name, edges = path[-1]
             for target in edges:
-                if target not in number:
-                    enter(target)
+                if target not in seen:
+                    seen.add(target)
+                    path.append((target, iter(targets.get(target, ()))))
                     break
-                if target not in bounds:
-                    low[name] = min(low[name], number[target])
+                cyclic = cyclic or target not in order
             else:
-                path.pop()
-                if path:
-                    above = path[-1][0]
-                    low[above] = min(low[above], low[name])
-                if low[name] == number[name]:
-                    at = len(stack) - 1
-                    while stack[at] != name:
-                        at -= 1
-                    settle(stack[at:])
-                    del stack[at:]
+                order[path.pop()[0]] = None
+
+    for _ in range(len(records) + 1):
+        changed = False
+        for name in order:
+            new = classify(by_name[name], verdicts.get(name, []),
+                           certs_by_source.get(name, ()), resolve)
+            old = bounds.get(name)
+            if old is None or (new.lower, new.upper) != (old.lower, old.upper):
+                changed = True
+            bounds[name] = new
+        if not (cyclic and changed):
+            break
+    else:
+        raise InconsistencyError(
+            f"certificate bounds did not converge after {len(records) + 1} "
+            f"sweeps")
 
     for cert in certs:
         got = bounds.get(cert.target)

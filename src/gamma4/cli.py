@@ -125,8 +125,6 @@ def cmd_linkform(args):
     group, form = analysis.group, analysis.form
     print(f"{rec.name}: H1 of the double branched cover = {group} "
           f"(order {group.order}), linking form under global sign {sign:+d}")
-    if group.is_trivial:
-        return EXIT_OK
     if args.json:
         import json
         from .pipeline import _fraction_str
@@ -140,6 +138,8 @@ def cmd_linkform(args):
         if group.is_cyclic:
             doc["square_class"] = square_class(form)
         print(json.dumps(doc, indent=2, sort_keys=True))
+        return EXIT_OK
+    if group.is_trivial:
         return EXIT_OK
     for i, row in enumerate(form.values):
         print(f"  lambda(g{i}, .) = " + "  ".join(str(x) for x in row))

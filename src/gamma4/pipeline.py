@@ -30,7 +30,9 @@ knot is one compact, sorted-key line, so a diff shows one line per changed
 knot.
 """
 
+import csv
 import hashlib
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -168,7 +170,7 @@ def _append_if_applicable(verdicts, verdict):
         verdicts.append(verdict)
 
 
-def resolve_sign_convention(records, requested, covers=None):
+def resolve_sign_convention(records, requested, covers):
     """Pick the global sign of the linking form (lambda = s * G^{-1}).
 
     ``fixed+``/``fixed-`` force it.  ``auto`` keeps +1 unless every knot
@@ -189,8 +191,6 @@ def resolve_sign_convention(records, requested, covers=None):
         return 1, "forced +G^-1"
     if requested == SIGN_MINUS:
         return -1, "forced -G^-1"
-    if covers is None:
-        covers = {}
     votes = []
     for rec in records:
         if rec.pd is None or rec.definiteness is None:
@@ -333,10 +333,14 @@ def report_json(entries, metadata):
 
 
 def summary_csv(entries):
-    lines = ["name,lower,upper,status,rules"]
+    """One CSV row per knot: name, lower, upper (empty when unknown),
+    status and its sorted rules; a name holding a comma is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["name", "lower", "upper", "status", "rules"])
     for e in entries:
-        rules = ";".join(sorted({r.rule for r in e.bounds.reasons}))
-        upper = "" if e.bounds.upper is None else e.bounds.upper
-        lines.append(f"{e.name},{e.bounds.lower},{upper},"
-                     f"{'determined' if e.bounds.determined else 'range'},{rules}")
-    return "\n".join(lines) + "\n"
+        b = e.bounds
+        writer.writerow([e.name, b.lower, b.upper,
+                         "determined" if b.determined else "range",
+                         ";".join(sorted({r.rule for r in b.reasons}))])
+    return out.getvalue()

@@ -1,7 +1,9 @@
-"""The pair runner refuses a claim the benchmark does not declare."""
+"""The pair runner refuses a claim the benchmark does not declare, and
+checks report identity under every sign convention and with Klein verdicts."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,35 @@ def test_a_misspelt_claim_exits_1_listing_the_names(claim):
     assert repr(claim) in message
     assert all(w["name"] in message for w in SPEC["workloads"])
     assert all(m["name"] in message for m in SPEC["end_to_end"])
+
+
+def test_one_tree_on_both_sides_writes_the_same_reports(tmp_path):
+    identity = _bench_pairs().report_identity(
+        {"parent": ROOT, "change": ROOT}, tmp_path)
+    assert identity["equal"]
+    assert list(identity["parent"]) == ["auto", "fixed+", "fixed-",
+                                        "enable-klein"]
+    # each setting reaches the CLI: every report's metadata names its own
+    assert len({d["report_sha256"] for d in identity["parent"].values()}) == 4
+
+
+@pytest.mark.parametrize("setting", ["auto", "fixed+", "fixed-",
+                                     "enable-klein"])
+def test_a_report_that_moves_under_one_setting_is_not_equal(
+        tmp_path, monkeypatch, setting):
+    bench_pairs = _bench_pairs()
+    flags = bench_pairs.IDENTITY_SETTINGS[setting]
+
+    def classify(argv, cwd, **_kw):
+        got = tuple(argv[4:argv.index("--out")])
+        moved = cwd.name == "change" and got == flags
+        report = Path(argv[argv.index("--out") + 1])
+        report.write_text(f"{cwd} {got} {moved}")
+        Path(argv[argv.index("--summary-csv") + 1]).write_text(str(got))
+
+    monkeypatch.setattr(subprocess, "run", classify)
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    identity = bench_pairs.report_identity(trees, tmp_path)
+    assert not identity["equal"]
+    assert [name for name in identity["parent"]
+            if identity["parent"][name] != identity["change"][name]] == [setting]

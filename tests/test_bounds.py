@@ -1,10 +1,12 @@
 """Classification rules: obstructions, clasp bounds, certificates."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
-from gamma4.bounds import (clasp_number, classify, classify_all,
+from gamma4 import bounds as bounds_module
+from gamma4.bounds import (GammaBounds, clasp_number, classify, classify_all,
                            sig_arf_obstruction, upper_from_clasp)
 from gamma4.errors import InconsistencyError
 from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS, SLICE,
@@ -298,3 +300,20 @@ def test_classify_all_checks_a_slice_claim_against_the_slice_flag(tmp_path):
     assert classify_all(flagged, {}, ledger)["a"].upper == 1
     # a slice claim onto a knot outside the dataset is still trusted
     assert classify_all([rec(name="B")], {}, ledger)["B"].upper == 1
+
+
+def test_a_cycle_that_never_settles_is_swept_over_the_whole_ledger(monkeypatch):
+    # the only cycle is a <-> b, but the guard and the re-sweeps count all
+    # four knots: 4 + 1 sweeps of 4 knots each
+    records = [rec(name=n) for n in ("c", "a", "d", "b")]
+    certs = [cert(source="a", target="b"), cert(source="b", target="a"),
+             cert(source="c", target="a"), cert(source="d", target="x")]
+    calls = itertools.count()
+
+    def never_settling(rec, verdicts, certs, resolve):
+        return GammaBounds(name=rec.name, upper=2 + next(calls))
+
+    monkeypatch.setattr(bounds_module, "classify", never_settling)
+    with pytest.raises(InconsistencyError, match="did not converge after 5 "):
+        classify_all(records, {}, certs)
+    assert next(calls) == 5 * 4

@@ -108,6 +108,21 @@ def test_linkform_json(capsys):
         {str(p): legendre_symbol(k % p, p) for p in (3, 17)} for k in (20, -20)]
 
 
+def test_linkform_json_on_a_trivial_h1(capsys, tmp_path):
+    """The unknot's H1 is trivial, which is cyclic: the document is the one
+    any cyclic group gets, with empty factors, form and square class."""
+    knots = tmp_path / "knots.csv"
+    knots.write_text(",".join(DATASET_COLUMNS) + "\nu,0,PD[],,,,,,,,,,,false,,\n")
+    code, out, _err = run(capsys, "linkform", "--knot", "u",
+                          "--dataset", str(knots), "--json")
+    assert code == 0
+    _header, _, payload = out.partition("\n")
+    assert json.loads(payload) == {
+        "knot": "u", "invariant_factors": [], "form": [], "square_class": {},
+        "verdicts": [{"rule": "mobius-cyclic", "result": "NotObstructed",
+                      "witness": "trivial H1"}]}
+
+
 def test_linkform_json_reports_square_class_at_large_order(capsys, tmp_path):
     """A 45-crossing diagram with H1 = Z_623421, 623421 = 3^2 * 113 * 613:
     the square class stands for an orbit of 51,408 fractions."""

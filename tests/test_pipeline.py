@@ -329,6 +329,17 @@ def test_bundled_summary_csv_digest(classification):
         "68f1e18d0f228c923f8c9ed11ababd709462897d846e034643f332023f88e3fc")
 
 
+def test_summary_csv_quotes_a_name_holding_a_comma(tmp_path):
+    knots = write_rows(tmp_path / "knots.csv", HEADER, [
+        '"a,b",11,,,,,,,,,,,,false,,',
+    ])
+    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [])
+    entries, _meta = pipeline.run_classification(knots, certs)
+    rows = list(csv.reader(pipeline.summary_csv(entries).splitlines()))
+    assert rows == [["name", "lower", "upper", "status", "rules"],
+                    ["a,b", "1", "5", "range", "crossing-floor"]]
+
+
 def test_bundled_report_has_one_line_per_knot(classification):
     entries, metadata = classification
     lines = pipeline.report_json(entries, metadata).splitlines()
