@@ -16,10 +16,10 @@ and the change first in the odd ones.
 The record (``BENCH_<pr>.json`` at the repository root) gives, per
 workload and end-to-end metric, each side's median and quartiles over its
 runs, the relative change of the median in the metric's worse direction
-against the bound in ``BENCHMARK.json``, and the pairs the change won; and
-whether the two sides write the same bundled report and summary CSV under
-each sign convention (``auto``, ``fixed+``, ``fixed-``) and with
-``--enable-klein``.  With ``--claim`` it checks a claimed gain: the change
+against the bound in ``BENCHMARK.json``, and the pairs the change won;
+each side's line count of ``src/gamma4``; and whether the two sides write
+the same bundled report and summary CSV under each sign convention
+(``auto``, ``fixed+``, ``fixed-``) and with ``--enable-klein``.  With ``--claim`` it checks a claimed gain: the change
 better in at least nine tenths of the pairs (ties count for neither side),
 and the medians further apart than the parent's quartile distance.
 ``--traced-seeds`` adds traced pairs of ``TRACED_SECONDS`` on the claimed
@@ -98,6 +98,13 @@ def differing_benchmark_files(trees):
     parent, change = (benchmark_files(trees[side]) for side in SIDES)
     return sorted(name for name in parent.keys() | change.keys()
                   if parent.get(name) != change.get(name))
+
+
+def source_lines(tree):
+    """Lines of the Python files under ``src/gamma4`` in ``tree``, counted
+    as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "gamma4").rglob("*.py"))
 
 
 def seeds(text):
@@ -286,6 +293,7 @@ def main():
                   f"side's runs; worse_by is the relative change of the median "
                   f"in the metric's worse direction",
         "claim": None,
+        "src_lines": {side: source_lines(trees[side]) for side in SIDES},
         "identity": report_identity(trees, args.work_dir),
         "workloads": {},
     }

@@ -27,6 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gamma4.bounds import arf_from_det  # noqa: E402
 from gamma4.exactalg import det  # noqa: E402
 from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS,  # noqa: E402
                            render_pd, validate_pd)
@@ -301,11 +302,6 @@ MOVES = [
     # stated in the gamma4 = 1 list without a printed figure
     ("11n129", 0, "unknown", "slice", "band move stated without figure"),
 ]
-
-def arf_from_det(d):
-    """Murasugi: Arf = 0 iff det == +-1 (mod 8)."""
-    return 0 if d % 8 in (1, 7) else 1
-
 
 def build_realization(name):
     """Diagram + verified invariants for one linking-form knot."""

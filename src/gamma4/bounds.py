@@ -138,6 +138,13 @@ def sig_arf_obstruction(sigma, arf):
     return (sigma + 4 * arf) % 8 == 4
 
 
+def arf_from_det(det):
+    """A knot's Arf invariant from its determinant: 0 iff |det| = +-1
+    (mod 8) [Levine, "Polynomial invariants of knots of codimension two",
+    Ann. of Math. 84 (1966)]."""
+    return 0 if det % 8 in (1, 7) else 1
+
+
 def clasp_number(rec):
     """Tightest known clasp-number range [lo, hi] for one record.
 

@@ -92,9 +92,8 @@ def _analyze_knot(args):
     covers = {}
     sign, _note = pipeline.resolve_sign_convention(records, args.sign_convention,
                                                    covers)
-    return rec, sign, pipeline.analyze_diagram(
-        rec, sign, enable_klein=args.enable_klein,
-        cover=pipeline.double_cover(rec, covers))
+    return rec, sign, pipeline.analyze_diagram(rec, sign, args.enable_klein,
+                                               covers)
 
 
 def cmd_goeritz(args):
@@ -127,13 +126,11 @@ def cmd_linkform(args):
           f"(order {group.order}), linking form under global sign {sign:+d}")
     if args.json:
         import json
-        from .pipeline import _fraction_str
         doc = {
             "knot": rec.name,
             "invariant_factors": list(group.invariant_factors),
-            "form": [[_fraction_str(x) for x in row] for row in form.values],
-            "verdicts": [{"rule": v.rule, "result": v.result,
-                          "witness": v.witness} for v in analysis.verdicts],
+            "form": pipeline.form_json(form),
+            "verdicts": pipeline.verdicts_json(analysis.verdicts),
         }
         if group.is_cyclic:
             doc["square_class"] = square_class(form)
@@ -226,8 +223,8 @@ def build_parser():
                             help="certificates.csv (default: bundled)")
         sp.add_argument("--enable-klein", action="store_true",
                         help="include Klein-bottle discriminant verdicts")
-        sp.add_argument("--sign-convention", default="auto",
-                        choices=["auto", "fixed+", "fixed-"],
+        sp.add_argument("--sign-convention", default=pipeline.SIGN_AUTO,
+                        choices=pipeline.SIGN_CONVENTIONS,
                         help="global sign of the linking form")
 
     sp = sub.add_parser("goeritz", help="Goeritz data of one diagram")

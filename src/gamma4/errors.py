@@ -13,11 +13,10 @@ class PDSyntaxError(Gamma4Error):
     """Malformed PD notation (tokenizer/grammar level)."""
 
 
-class PDSemanticError(Gamma4Error):
-    """Well-formed PD text that violates a diagram invariant.
-
-    Carries the index of the offending crossing when one can be blamed.
-    """
+class _CrossingError(Gamma4Error):
+    """An error that carries the index of the offending crossing, as
+    ``.crossing`` and as a ``crossing N: `` message prefix, when one can be
+    blamed."""
 
     def __init__(self, message, crossing=None):
         if crossing is not None:
@@ -26,15 +25,13 @@ class PDSemanticError(Gamma4Error):
         self.crossing = crossing
 
 
-class DiagramError(Gamma4Error):
+class PDSemanticError(_CrossingError):
+    """Well-formed PD text that violates a diagram invariant."""
+
+
+class DiagramError(_CrossingError):
     """A structurally valid PD code that cannot be processed further
     (non-planar traversal, nugatory crossing, singular Goeritz matrix)."""
-
-    def __init__(self, message, crossing=None):
-        if crossing is not None:
-            message = f"crossing {crossing}: {message}"
-        super().__init__(message)
-        self.crossing = crossing
 
 
 class KnotNotFound(Gamma4Error):

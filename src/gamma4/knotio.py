@@ -42,10 +42,6 @@ class PDCode:
     def __len__(self):
         return len(self.crossings)
 
-    @property
-    def edge_count(self):
-        return 2 * len(self.crossings)
-
     @cached_property
     def directions(self):
         """:func:`over_directions` of this diagram, computed once."""

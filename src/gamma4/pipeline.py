@@ -12,10 +12,12 @@ when a cover is built; the checks against a record's ingested values run
 for every record that reads the cover.  ``knotio`` checks rows, repeated
 names included, at load.
 
-Each diagram's double cover (``DoubleCover``: Goeritz data, det,
-signature, homology and the linking form before its sign is fixed) is
-computed once per run and per distinct diagram: a run keys its covers by
-PD code, so records that share a diagram share its cover.  The sign vote
+Each diagram's double cover (a ``DiagramAnalysis`` without verdicts:
+Goeritz data, det, signature, homology and the linking form before its
+sign is fixed) is computed once per run and per distinct diagram: a run
+keys its covers by PD code, so records that share a diagram share its
+cover.  ``analyze_diagram`` finds or builds the cover and returns a
+``DiagramAnalysis`` with the sign fixed and the verdicts.  The sign vote
 reads a cover under both signs and the final pass reuses it, since fixing
 the sign only negates the form.  Nothing is kept from one run to the next.
 
@@ -40,17 +42,18 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import exactalg, planar
-from .bounds import classify_all
+from .bounds import arf_from_det, classify_all
 from .errors import InconsistencyError
 from .knotio import load_certificates, load_dataset
-from .linkform import (INAPPLICABLE, RULE_DEFINITENESS,
-                       definiteness_consistency, homology,
+from .linkform import (INAPPLICABLE, RULE_DEFINITENESS, RULE_KLEIN,
+                       RULE_MOBIUS_P2Q, definiteness_consistency, homology,
                        klein_discriminant, linking_form,
                        mobius_obstruction_cyclic, mobius_obstruction_p2q)
 
 SIGN_AUTO = "auto"
 SIGN_PLUS = "fixed+"
 SIGN_MINUS = "fixed-"
+SIGN_CONVENTIONS = (SIGN_AUTO, SIGN_PLUS, SIGN_MINUS)
 
 
 _DIGIT_RUNS = re.compile(r"(\d+)")
@@ -62,30 +65,15 @@ def natural_key(name):
                  for tok in _DIGIT_RUNS.split(name))
 
 
-@dataclass
-class DiagramAnalysis:
-    """Everything computed from one knot's diagram."""
-
-    goeritz: object
-    group: object
-    form: object            # sign-fixed linking form
-    verdicts: list
-    det: int
-    signature: int
-
-    @property
-    def fraction(self):
-        if self.group.is_cyclic and not self.group.is_trivial:
-            return self.form.self_value()
-        return None
-
-
 @dataclass(frozen=True)
-class DoubleCover:
-    """The sign-independent data of one diagram's double branched cover.
+class DiagramAnalysis:
+    """One diagram's double branched cover: Goeritz data, |det|, signature,
+    H1 and its linking form.
 
-    ``form`` is the +G^{-1} transport with its global sign not yet fixed;
-    fixing the sign only negates it, so both signs share one cover.
+    A run's covers (see :func:`analyze_diagram`) hold the +G^{-1} transport
+    with its global sign not yet fixed, and no verdicts.  An analysis holds
+    the form with its sign fixed and the verdicts read off it; fixing the
+    sign only negates the form, so both signs share one cover.
     """
 
     goeritz: object
@@ -93,23 +81,13 @@ class DoubleCover:
     form: object
     det: int
     signature: int
+    verdicts: tuple = ()
 
-
-def double_cover(rec, covers=None):
-    """``rec``'s double branched cover, cross-checked against ``rec``.
-
-    ``covers`` (a dict kept for one run) maps a PD code to its cover: a
-    diagram found there is not built again, and a new one is stored.  The
-    ingested determinant, signature and Arf invariant are checked against
-    the cover on every call, so each record sharing a diagram gets its own
-    checks."""
-    cover = None if covers is None else covers.get(rec.pd)
-    if cover is None:
-        cover = _build_cover(rec)
-        if covers is not None:
-            covers[rec.pd] = cover
-    _check_ingested(rec, cover)
-    return cover
+    @property
+    def fraction(self):
+        if self.group.is_cyclic and not self.group.is_trivial:
+            return self.form.self_value()
+        return None
 
 
 def _build_cover(rec):
@@ -125,8 +103,9 @@ def _build_cover(rec):
         raise InconsistencyError(
             f"{rec.name}: det G = {det_g} but sig(G) = {sig + gd.mu} on "
             f"dimension {len(gd.g)}; the signature elimination is wrong")
-    return DoubleCover(goeritz=gd, group=homology(gd), form=linking_form(gd),
-                       det=abs(det_g), signature=sig)
+    return DiagramAnalysis(goeritz=gd, group=homology(gd),
+                           form=linking_form(gd), det=abs(det_g),
+                           signature=sig)
 
 
 def _check_ingested(rec, cover):
@@ -139,35 +118,40 @@ def _check_ingested(rec, cover):
         raise InconsistencyError(
             f"{rec.name}: Goeritz signature {cover.signature} disagrees with "
             f"the ingested signature {rec.signature}; convention or data error")
-    # Levine: a knot's Arf invariant is 0 iff |det| = +-1 (mod 8)
-    if rec.arf is not None and rec.arf != (0 if det % 8 in (1, 7) else 1):
+    if rec.arf is not None and rec.arf != arf_from_det(det):
         raise InconsistencyError(
             f"{rec.name}: ingested Arf invariant {rec.arf} but |det G| = "
             f"{det} is {det % 8} mod 8; Arf = 0 iff |det| = "
             f"+-1 (mod 8) [Levine]")
 
 
-def analyze_diagram(rec, sign, enable_klein=False, cover=None):
-    """The verdicts on ``rec``'s double cover (built here unless given)
-    with the linking form's global sign fixed to ``sign``; the p^2 q and
-    Klein verdicts are kept only where they apply to H1."""
+def analyze_diagram(rec, sign, enable_klein=False, covers=None):
+    """The verdicts on ``rec``'s double cover with the linking form's
+    global sign fixed to ``sign``; the p^2 q and Klein verdicts are kept
+    only where they apply to H1.
+
+    ``covers`` (a dict kept for one run) maps a PD code to its cover: a
+    diagram found there is not built again, and a new one is stored.  The
+    ingested determinant, signature and Arf invariant are checked against
+    the cover on every call, so each record sharing a diagram gets its own
+    checks."""
+    if covers is None:
+        covers = {}
+    cover = covers.get(rec.pd)
     if cover is None:
-        cover = double_cover(rec)
+        cover = covers[rec.pd] = _build_cover(rec)
+    _check_ingested(rec, cover)
     form = cover.form.fix_sign(sign)
-    verdicts = [mobius_obstruction_cyclic(form)]
-    _append_if_applicable(verdicts, mobius_obstruction_p2q(form))
+    verdicts = [mobius_obstruction_cyclic(form), mobius_obstruction_p2q(form)]
     if rec.definiteness is not None:
         verdicts.append(definiteness_consistency(form, rec.definiteness))
     if enable_klein:
-        _append_if_applicable(verdicts, klein_discriminant(form))
-    return DiagramAnalysis(goeritz=cover.goeritz, group=cover.group, form=form,
-                           verdicts=verdicts, det=cover.det,
-                           signature=cover.signature)
-
-
-def _append_if_applicable(verdicts, verdict):
-    if verdict.result != INAPPLICABLE:
-        verdicts.append(verdict)
+        verdicts.append(klein_discriminant(form))
+    return DiagramAnalysis(
+        goeritz=cover.goeritz, group=cover.group, form=form, det=cover.det,
+        signature=cover.signature,
+        verdicts=tuple([v for v in verdicts if v.result != INAPPLICABLE
+                        or v.rule not in (RULE_MOBIUS_P2Q, RULE_KLEIN)]))
 
 
 def resolve_sign_convention(records, requested, covers):
@@ -184,8 +168,8 @@ def resolve_sign_convention(records, requested, covers):
 
     Each voting record's double cover is read under both signs.  It is
     looked up in, or stored into, ``covers`` under the record's PD code
-    (see :func:`double_cover`), so a caller passing the same dict reuses it
-    for any record with that diagram.
+    (see :func:`analyze_diagram`), so a caller passing the same dict reuses
+    it for any record with that diagram.
     """
     if requested == SIGN_PLUS:
         return 1, "forced +G^-1"
@@ -195,9 +179,8 @@ def resolve_sign_convention(records, requested, covers):
     for rec in records:
         if rec.pd is None or rec.definiteness is None:
             continue
-        cover = double_cover(rec, covers)
         for sign in (1, -1):
-            analysis = analyze_diagram(rec, sign, cover=cover)
+            analysis = analyze_diagram(rec, sign, covers=covers)
             verdict = next((v for v in analysis.verdicts
                             if v.rule == RULE_DEFINITENESS), None)
             if verdict is not None and verdict.result != INAPPLICABLE:
@@ -230,15 +213,15 @@ def run_classification(dataset_path, certificates_path, enable_klein=False,
     certificates = Path(certificates_path).read_bytes()
     certs = load_certificates(certificates_path, certificates)
 
-    covers = {}  # PD code -> DoubleCover, for this run only
+    covers = {}  # PD code -> unsigned DiagramAnalysis, for this run only
     sign, sign_note = resolve_sign_convention(records, sign_convention, covers)
 
     # the vote's covers are reused; the rest are built here, in table order
     analyses = {}
     for rec in records:
         if rec.pd is not None:
-            analyses[rec.name] = analyze_diagram(
-                rec, sign, enable_klein, double_cover(rec, covers))
+            analyses[rec.name] = analyze_diagram(rec, sign, enable_klein,
+                                                 covers)
 
     bounds = classify_all(
         records, {name: a.verdicts for name, a in analyses.items()}, certs)
@@ -289,6 +272,19 @@ def _fraction_str(x):
     return f"{f.numerator}/{f.denominator}"
 
 
+def form_json(form):
+    """The linking form's matrix, fractions as ``"p/q"`` strings, as the
+    report and ``gamma4 linkform --json`` print it."""
+    return [[_fraction_str(x) for x in row] for row in form.values]
+
+
+def verdicts_json(verdicts):
+    """The verdicts as the report and ``gamma4 linkform --json`` print
+    them."""
+    return [{"rule": v.rule, "result": v.result, "witness": v.witness}
+            for v in verdicts]
+
+
 def entry_dict(e):
     """JSON-ready view of one report entry."""
     rec, analysis, b = e.record, e.analysis, e.bounds
@@ -307,11 +303,8 @@ def entry_dict(e):
         out["signature"] = analysis.signature
         out["linking_fraction"] = _fraction_str(analysis.fraction)
         if analysis.fraction is None and not analysis.group.is_trivial:
-            out["linking_matrix"] = [[_fraction_str(x) for x in row]
-                                     for row in analysis.form.values]
-        out["verdicts"] = [{"rule": v.rule, "result": v.result,
-                            "witness": v.witness}
-                           for v in analysis.verdicts]
+            out["linking_matrix"] = form_json(analysis.form)
+        out["verdicts"] = verdicts_json(analysis.verdicts)
     return out
 
 

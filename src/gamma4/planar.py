@@ -242,10 +242,6 @@ class GoeritzData:
     g: list
     mu: int
 
-    @property
-    def white_count(self):
-        return len(self.gfull)
-
 
 def goeritz(pd: PDCode, outer=None) -> GoeritzData:
     """Goeritz matrix of the white coloring rooted at the outer face.

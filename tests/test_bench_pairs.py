@@ -1,5 +1,6 @@
-"""The pair runner refuses a claim the benchmark does not declare, and
-checks report identity under every sign convention and with Klein verdicts."""
+"""The pair runner refuses a claim the benchmark does not declare, checks
+report identity under every sign convention and with Klein verdicts, and
+counts each side's source lines."""
 
 import importlib.util
 import json
@@ -67,3 +68,14 @@ def test_a_report_that_moves_under_one_setting_is_not_equal(
     assert not identity["equal"]
     assert [name for name in identity["parent"]
             if identity["parent"][name] != identity["change"][name]] == [setting]
+
+
+def test_source_lines_count_the_package_python_files_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "gamma4"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "data" / "b.py").write_text("z = 3")  # no final newline
+    (package / "data" / "knots.csv").write_text("name\nk\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "c.py").write_text("w = 4\n")
+    assert _bench_pairs().source_lines(tmp_path) == 3

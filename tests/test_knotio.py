@@ -19,7 +19,7 @@ from gamma4.knotio import (_DATASET_PARSERS, CERTIFICATE_COLUMNS,
 
 def test_parse_unknot():
     pd = parse_pd("PD[]")
-    assert len(pd) == 0 and pd.edge_count == 0
+    assert len(pd) == 0 and pd.crossings == ()
 
 
 def test_parse_trefoil():

@@ -402,13 +402,14 @@ def test_over_directions_runs_once_per_diagram(dataset):
 def test_a_shared_cover_gives_the_same_analysis(dataset):
     """One double cover read under both signs, with Klein on and off, is
     what the sign vote and the final pass do with it."""
+    covers = {}
     for rec in dataset:
         if rec.pd is None:
             continue
-        cover = pipeline.double_cover(rec)
         for sign, klein in itertools.product((1, -1), (False, True)):
-            assert (pipeline.analyze_diagram(rec, sign, klein, cover=cover)
+            assert (pipeline.analyze_diagram(rec, sign, klein, covers)
                     == pipeline.analyze_diagram(rec, sign, klein)), rec.name
+        assert covers[rec.pd].verdicts == (), rec.name
 
 
 def test_an_analysis_on_a_built_cover_computes_no_determinant():
@@ -421,8 +422,9 @@ def test_an_analysis_on_a_built_cover_computes_no_determinant():
     from gamma4.knotio import KnotRecord
     rec = KnotRecord(name="granny", crossings=6,
                      pd=connect_sum(torus2(3), torus2(3)))
-    cover = pipeline.double_cover(rec)
-    assert cover.group.invariant_factors == (3, 3)
+    covers = {}
+    pipeline.analyze_diagram(rec, 1, covers=covers)
+    assert covers[rec.pd].group.invariant_factors == (3, 3)
     calls = []
 
     def count(frame, event, _arg):
@@ -432,7 +434,7 @@ def test_an_analysis_on_a_built_cover_computes_no_determinant():
     for sign, klein in itertools.product((1, -1), (False, True)):
         sys.setprofile(count)
         try:
-            pipeline.analyze_diagram(rec, sign, klein, cover=cover)
+            pipeline.analyze_diagram(rec, sign, klein, covers)
         finally:
             sys.setprofile(None)
         assert calls == [], (sign, klein)

@@ -35,7 +35,7 @@ def test_each_edge_borders_two_faces():
             for edge in face:
                 seen[edge] = seen.get(edge, 0) + 1
         assert all(v == 2 for v in seen.values())
-        assert len(seen) == pd.edge_count
+        assert len(seen) == 2 * len(pd)
 
 
 def test_faces_reject_crossingless_diagram():
