@@ -57,6 +57,7 @@ TRACED_METRICS = ("planar.goeritz.calls", "exactalg.det.calls",
                   "planar.goeritz.ms", "linkform.linking_form.ms",
                   "pipeline.run_classification.ms", "pipeline.report_json.ms",
                   "pipeline.resolve_sign_convention.ms",
+                  "exactalg.det.ms", "exactalg.signature.ms",
                   "trace.throughput_ops_s", "trace.overhead_ratio")
 # the ``gamma4 classify`` flags of every setting whose report must not move
 IDENTITY_SETTINGS = {"auto": (), "fixed+": ("--sign-convention", "fixed+"),

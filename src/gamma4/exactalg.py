@@ -8,9 +8,12 @@ integer copy of its input, which rejects a ``Fraction`` or float entry
 with TypeError.  An inverse is the integer pair (N, d) with A*N = d*I;
 only ``linkform`` turns such pairs into Q/Z values.
 
-Elimination is fraction-free: ``det`` and ``inverse`` divide exactly by
-the previous pivot (Bareiss), so their intermediate entries are minors of
-the input, and ``signature`` divides each trailing block by its content.
+Elimination is fraction-free (Bareiss): each step divides exactly by the
+previous pivot, so intermediate entries are minors of the input.  ``det``
+and ``signature`` update only rows with a nonzero pivot-column entry; any
+other row (which a step would only scale by pivot/prev) keeps its values
+and ``level[i]``, the divisor it was last exact at, and is caught up with
+``x * prev // level[i]`` when next used, exact as the result is a minor.
 ``inverse`` runs Gauss-Jordan on ``[A | I]`` in place in one n x n array:
 a finished pivot column is known to be p*I, so its slot takes the
 matching column of the right block, a row whose pivot-column entry is 0
@@ -23,9 +26,6 @@ pipeline meets (tens of rows).
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
-from math import gcd
 from operator import index, mul
 
 IntMatrix = list  # list[list[int]], rectangular
@@ -93,31 +93,41 @@ def mat_transpose(m):
 
 def det(m):
     """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination.  The 0x0 determinant is 1 (empty product), which is what
-    the unknot's empty Goeritz matrix needs."""
+    elimination with row pivoting.  A row whose pivot-column entry is 0 is
+    not touched; it keeps ``level[i]`` and is caught up, exactly since its
+    entries are minors, when it next pivots or is updated.  The 0x0
+    determinant is 1 (empty product), which is what the unknot's empty
+    Goeritz matrix needs."""
     n = require_square(m)
     if n == 0:
         return 1
     a = integer_copy(m)
-    sign = 1
-    prev = 1
+    level = [1] * n
+    sign = prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                sign = 0  # a zero column below the diagonal: singular
-                break
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0  # a zero column below the diagonal: singular
+            a[k], a[i] = a[i], a[k]
+            level[k], level[i] = level[i], level[k]
+            sign = -sign
+        top = a[k]
+        if level[k] != prev:
+            top = [x * prev // level[k] for x in top]
+        pivot = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: every division here is exact over the integers.
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            f = row[k]
+            if f:
+                if level[i] != prev:
+                    row = [x * prev // level[i] for x in row]
+                    f = row[k]
+                # Sylvester's identity makes every division exact.
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+                level[i] = pivot
+        prev = pivot
+    return sign * a[-1][-1] * prev // level[-1]
 
 
 def inverse(m):
@@ -288,49 +298,52 @@ def smith_normal_form(m):
 
 def signature(m):
     """Signature (#positive - #negative eigenvalues) of a symmetric matrix,
-    computed exactly by integer congruence diagonalization.
+    computed exactly by symmetric Bareiss elimination.
 
-    Eliminating the pivot p leaves the Schur complement A22 - a21*a12/p,
-    which is congruent to the trailing block (Sylvester's law of inertia).
-    The integer block p*A22 - a21*a12 is that complement times p, so the
-    running sign flips when p < 0, and the block's content is divided out
-    to keep the entries small.  A zero pivot is swapped with a nonzero
-    diagonal entry; when every remaining diagonal entry is zero, an
-    off-diagonal entry is folded onto the diagonal (row/col addition),
-    which is the 2x2 hyperbolic-block step in disguise.
+    After pivots P the rows left hold prev * S, S the Schur complement of
+    A[P, P] and prev = det A[P, P], so by Sylvester's law of inertia each
+    pivot p = prev * S[k][k] adds one eigenvalue of sign sign(p * prev).
+    The pivot is the first nonzero diagonal entry left, and rows are
+    scaled lazily as in ``det``.  An all-zero remaining diagonal gets an
+    off-diagonal entry folded onto it (row/col addition, a unimodular
+    congruence, so later entries are minors of the congruent matrix).
 
     Requires a nonsingular symmetric integer matrix; 0x0 input has
     signature 0.
     """
-    require_square(m)
+    n = require_square(m)
     a = integer_copy(m)
     if not is_symmetric(a):
         raise ValueError("signature requires a symmetric matrix")
-    sign = 1  # sign of the factor by which a is the true Schur complement
-    sig = 0
-    while a:
-        if a[0][0] == 0:
-            swap = next((j for j in range(1, len(a)) if a[j][j] != 0), None)
-            if swap is not None:
-                a[0], a[swap] = a[swap], a[0]
-                for row in a:
-                    row[0], row[swap] = row[swap], row[0]
-            else:
-                j = next((j for j in range(1, len(a)) if a[0][j] != 0), None)
-                if j is None:
-                    raise ValueError("signature requires a nonsingular matrix")
-                # add row/col j to row/col 0: a[0][0] becomes 2*a[0][j] != 0
-                a[0] = [x + y for x, y in zip(a[0], a[j])]
-                for row in a:
-                    row[0] += row[j]
-        pivot = a[0][0]
-        sig += 1 if (pivot > 0) == (sign > 0) else -1
-        if pivot < 0:
-            sign = -sign
-        edge = a[0][1:]
-        a = [[pivot * x - r * y for x, y in zip(row[1:], edge)]
-             for r, row in zip(edge, a[1:])]
-        content = reduce(gcd, chain.from_iterable(a), 0)
-        if content > 1:
-            a = [[x // content for x in row] for row in a]
+    level = [1] * n
+    left = list(range(n))
+    prev, sig = 1, 0
+    while left:
+        k = next((i for i in left if a[i][i]), None)
+        if k is None:
+            k = left[0]
+            j = next((j for j in left if a[k][j]), None)
+            if j is None:
+                raise ValueError("signature requires a nonsingular matrix")
+            # row/col k += row/col j at the current level: a[k][k] = 2*a[k][j]
+            lk, lj = level[k], level[j]
+            a[k] = [x * prev // lk + y * prev // lj for x, y in zip(a[k], a[j])]
+            level[k] = prev
+            for i in left:
+                a[i][k] += a[i][j]
+        left.remove(k)
+        top = a[k]
+        if level[k] != prev:
+            top = [x * prev // level[k] for x in top]
+        pivot = top[k]
+        sig += 1 if (pivot > 0) == (prev > 0) else -1
+        for i in left:
+            f = top[i]
+            if f:
+                row = a[i]
+                if level[i] != prev:
+                    row = [x * prev // level[i] for x in row]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+                level[i] = pivot
+        prev = pivot
     return sig

@@ -301,8 +301,8 @@ def entry_dict(e):
         out["homology"] = list(analysis.group.invariant_factors)
         out["determinant"] = analysis.det
         out["signature"] = analysis.signature
-        out["linking_fraction"] = _fraction_str(analysis.fraction)
-        if analysis.fraction is None and not analysis.group.is_trivial:
+        out["linking_fraction"] = _fraction_str(fraction := analysis.fraction)
+        if fraction is None and not analysis.group.is_trivial:
             out["linking_matrix"] = form_json(analysis.form)
         out["verdicts"] = verdicts_json(analysis.verdicts)
     return out

@@ -543,3 +543,20 @@ def test_arf_must_agree_with_the_determinant(knots_csv, certificates_csv,
     assert main(["classify", "--dataset", str(bad), "--out",
                  str(tmp_path / "r.json")]) == 4
     assert "Arf" in capsys.readouterr().err
+
+
+def test_report_reads_each_linking_fraction_once(classification, monkeypatch):
+    from gamma4 import linkform
+    calls = []
+    original = linkform.LinkingForm.self_value
+
+    def counting(form):
+        calls.append(form)
+        return original(form)
+
+    monkeypatch.setattr(linkform.LinkingForm, "self_value", counting)
+    pipeline.report_json(*classification)
+    entries = classification[0]
+    cyclic = [e for e in entries if e.analysis is not None
+              and e.analysis.group.is_cyclic and not e.analysis.group.is_trivial]
+    assert len(calls) == len(cyclic) == 21
