@@ -58,6 +58,9 @@ TRACED_METRICS = ("planar.goeritz.calls", "exactalg.det.calls",
                   "pipeline.run_classification.ms", "pipeline.report_json.ms",
                   "pipeline.resolve_sign_convention.ms",
                   "exactalg.det.ms", "exactalg.signature.ms",
+                  "exactalg.inverse.ms", "exactalg.inverse.calls",
+                  "exactalg.smith_normal_form.ms",
+                  "exactalg.smith_normal_form.calls",
                   "trace.throughput_ops_s", "trace.overhead_ratio")
 # the ``gamma4 classify`` flags of every setting whose report must not move
 IDENTITY_SETTINGS = {"auto": (), "fixed+": ("--sign-convention", "fixed+"),

@@ -14,14 +14,13 @@ and ``signature`` update only rows with a nonzero pivot-column entry; any
 other row (which a step would only scale by pivot/prev) keeps its values
 and ``level[i]``, the divisor it was last exact at, and is caught up with
 ``x * prev // level[i]`` when next used, exact as the result is a minor.
-``inverse`` runs Gauss-Jordan on ``[A | I]`` in place in one n x n array:
-a finished pivot column is known to be p*I, so its slot takes the
-matching column of the right block, a row whose pivot-column entry is 0
-is only rescaled, and the row swaps are undone on the columns once at the
-end.  ``smith_normal_form`` eliminates on one augmented matrix holding U
-beside D and V below it, so each row or column operation is written once
-and carries its transform along; its pivot search stops at the first
-unit.  Coefficient growth stays polynomial at the Goeritz dimensions the
+``inverse`` eliminates ``[A | I]`` the same way, bottom-right first and
+only above the pivot, with the catch-up fused into the update, and then
+solves the lower-triangular left block by exact back substitution.
+``smith_normal_form`` eliminates on one augmented matrix holding U beside
+D and V below it, so each row or column operation is written once and
+carries its transform along; its pivot search stops at the first unit.
+Coefficient growth stays polynomial at the Goeritz dimensions the
 pipeline meets (tens of rows).
 """
 
@@ -46,8 +45,11 @@ def xgcd(a, b):
     return g, x, y
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def unit_row(n, i):
+    """Row i of the n x n identity."""
+    row = [0] * n
+    row[i] = 1
+    return row
 
 
 def integer_copy(m):
@@ -132,55 +134,53 @@ def det(m):
 
 def inverse(m):
     """A^-1 = N/d of an integer matrix A as the integer pair (N, d) with
-    A*N = d*I and d = |det A| > 0, by fraction-free (Bareiss) Gauss-Jordan.
+    A*N = d*I and d = |det A| > 0, by Bareiss elimination and back solving.
 
-    The elimination of ``[A | I]`` runs in place on one n x n array.  Once
-    column ``col`` is eliminated, the left block's columns <= col read p*I
-    and the right block's columns > col are still p times unit columns (p
-    the current pivot), so neither is stored: slot j holds the right
-    block's column for j <= col and the left block's beyond.  At step
-    ``col`` every other row becomes ``(pivot*x - f*y) // prev``, f its
-    pivot-column entry, and its slot ``col`` takes -f, the entry of the
-    new right-block column; the pivot row's slot ``col`` takes ``prev``.
-    A row with f = 0 is only rescaled, and left alone when the pivot
-    repeats.  Row swaps move the unit columns, so they are recorded in
-    ``perm`` and undone on the columns once at the end.  The array then
-    holds p*A^-1 with p = +-det(A), negated when the last pivot is
-    negative.
+    ``[A | I]`` is eliminated with pivots taken bottom-right first, k = n-1
+    ... 0, clearing column k in the rows above k only, to a lower-triangular
+    left block R beside a right block B with R = B*A.  Only rows with a
+    nonzero pivot-column entry are updated, and a row left at ``level[i]``
+    is caught up inside its update: ``(pivot*x - f*y) // level[i]`` is the
+    stale row scaled by prev/level[i], then eliminated, so it is exact.  The
+    last pivot is +-det A, so N = d*A^-1 = +-adj A solves R*N = d*B: row i
+    of N is ``(d*B_i - sum_{j<i} R_ij*N_j) // R_ii``, exact as N is
+    integral.  A lower-triangular input (an SNF's U) updates no row, and a
+    tridiagonal one (a Goeritz matrix) about one per pivot.
 
     Raises ValueError on a singular matrix.
     """
     n = require_square(m)
-    a = integer_copy(m)
-    perm = list(range(n))
+    a = [row + unit_row(n, i) for i, row in enumerate(integer_copy(m))]
+    level = [1] * n
     prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix has no inverse")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
-        top = a[col]
-        pivot = top[col]
-        for r, row in enumerate(a):
-            f = row[col]
+    for k in reversed(range(n)):
+        if not a[k][k]:
+            i = next((i for i in range(k) if a[i][k]), None)
+            if i is None:
+                raise ValueError("singular matrix has no inverse")
+            a[k], a[i] = a[i], a[k]
+            level[k], level[i] = level[i], level[k]
+        top = a[k]
+        if level[k] != prev:
+            top = [x * prev // level[k] for x in top]
+        pivot = top[k]
+        for i in range(k):
+            row = a[i]
+            f = row[k]
             if f:
-                if r != col:
-                    # Sylvester's identity makes every division exact.
-                    row = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
-                    row[col] = -f
-                    a[r] = row
-            elif pivot != prev:
-                a[r] = [pivot * x // prev for x in row]
-        top[col] = prev
+                a[i] = [(pivot * x - f * y) // level[i] for x, y in zip(row, top)]
+                level[i] = pivot
         prev = pivot
-    # slot j holds the right block's column perm[j]
-    place = [0] * n
-    for j, c in enumerate(perm):
-        place[c] = j
-    if prev < 0:
-        return [[-row[j] for j in place] for row in a], -prev
-    return [[row[j] for j in place] for row in a], prev
+    d = abs(prev)
+    inv = []
+    for i, row in enumerate(a):
+        x = row[n:] if d == 1 else [d * y for y in row[n:]]
+        for j, r in enumerate(row[:i]):
+            if r:
+                x = [s - r * y for s, y in zip(x, inv[j])]
+        p = row[i]
+        inv.append(x if p == 1 else [s // p for s in x])
+    return inv, d
 
 
 @dataclass
@@ -216,8 +216,8 @@ def smith_normal_form(m):
     absolute value 1, which nothing can beat.
     """
     rows, cols = dimensions(m)
-    a = [row + unit for row, unit
-         in zip(integer_copy(m), identity(rows))] + identity(cols)
+    a = ([row + unit_row(rows, i) for i, row in enumerate(integer_copy(m))]
+         + [unit_row(cols, j) for j in range(cols)])
 
     def col_op(j1, j2, q):
         # col j2 -= q * col j1, in D and V alike

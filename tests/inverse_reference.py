@@ -1,9 +1,9 @@
-"""The fraction-free inverse that ``exactalg``'s in-place version
-replaced: Bareiss Gauss-Jordan on the augmented ``[A | I]``, every row
-2n entries wide.  Kept as the reference the tests hold the new one to.
-(N, d) with A*N = d*I and d = |det A| is unique, so the new kernel must
-return exactly these integers, and raise the same exception on the same
-input.
+"""The fraction-free Gauss-Jordan inverse that ``exactalg`` once ran:
+Bareiss elimination of the augmented ``[A | I]``, every row 2n entries
+wide, above and below every pivot.  Kept as the reference the tests hold
+``exactalg.inverse`` to.  (N, d) with A*N = d*I and d = |det A| is
+unique, so the kernel must return exactly these integers, and raise the
+same exception on the same input.
 """
 
 from gamma4.exactalg import integer_copy, require_square

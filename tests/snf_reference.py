@@ -6,7 +6,8 @@ the new U, D and V must equal these entry for entry, not merely be an
 equivalent Smith decomposition.
 """
 
-from gamma4.exactalg import SNFResult, dimensions, identity, integer_copy, xgcd
+from conftest import identity
+from gamma4.exactalg import SNFResult, dimensions, integer_copy, xgcd
 
 
 def smith_normal_form(m):

@@ -17,11 +17,11 @@ from math import gcd
 
 import pytest
 
-from conftest import (checked_inverse, cyclic_form, reference_inverse,
-                      sympy_inverse)
+from conftest import (checked_inverse, cyclic_form, identity,
+                      reference_inverse, sympy_inverse)
 from gamma4 import pipeline
 from gamma4.bounds import sig_arf_obstruction
-from gamma4.exactalg import det, identity, mat_mul, mat_transpose, smith_normal_form, signature
+from gamma4.exactalg import det, mat_mul, mat_transpose, smith_normal_form, signature
 from gamma4.linkform import (INAPPLICABLE, NOT_OBSTRUCTED, OBSTRUCTED,
                              generator_values, homology, linking_form,
                              mobius_obstruction_cyclic)

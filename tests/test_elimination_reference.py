@@ -12,10 +12,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import elimination_reference as ref
-from conftest import fan_goeritz_matrices
+from conftest import fan_goeritz_matrices, structured_matrices
 from gamma4.exactalg import det, signature
 from gamma4.planar import goeritz
 
@@ -110,40 +109,6 @@ def test_edge_and_rejected_inputs(m):
     """Empty, 1x1, singular, non-symmetric, non-square, ragged and
     non-integer inputs: the same value or the same exception."""
     assert_same(m)
-
-
-@st.composite
-def structured_matrices(draw, symmetric=False):
-    """Sparse, banded or block-diagonal integer matrices up to 12x12, their
-    rows and columns relabelled by one permutation, symmetric on request.
-    Few nonzeros per column, so most rows sit out several pivots and are
-    caught up later; diagonal entries are zeroed from a drawn row on, and
-    entries lean small so that eliminated diagonal entries cancel too, so a
-    leading entry vanishes (``det`` swaps in a row left at an older level)
-    or the remaining diagonal turns all-zero partway (``signature`` folds
-    rows at different levels)."""
-    n = draw(st.integers(1, 12))
-    shape = draw(st.sampled_from(("sparse", "banded", "blocks")))
-    if shape == "sparse":
-        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        cells = draw(st.sets(cell, max_size=3 * n))
-    elif shape == "banded":
-        width = draw(st.integers(0, 2))
-        cells = {(i, j) for i in range(n) for j in range(n) if abs(i - j) <= width}
-    else:
-        cuts = sorted(draw(st.sets(st.integers(1, n), max_size=n // 2)) | {n})
-        cells = {(i, j) for lo, hi in zip([0, *cuts], cuts)
-                 for i in range(lo, hi) for j in range(lo, hi)}
-    m = [[0] * n for _ in range(n)]
-    for i, j in sorted(cells):
-        m[i][j] = draw(st.integers(-2, 2) | st.integers(-6, 6))
-    perm = draw(st.permutations(range(n)))
-    m = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    for i in range(draw(st.integers(0, n)), n):
-        m[i][i] = 0
-    if symmetric:
-        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    return m
 
 
 @settings(max_examples=300)

@@ -4,11 +4,12 @@ signatures.
 Oracles are independent of the implementation paths they check: cofactor
 expansion against Bareiss elimination, Jacobi's leading-minor sign rule
 against congruence diagonalization, sympy's inverse against fraction-free
-Gauss-Jordan.  The integer kernels are also held to the plain algorithms
-they replaced (Gauss-Jordan over ``Fraction`` in conftest, the product,
-rational congruence signature): equal values, and ints out of every
-kernel.  ``inverse`` returns (N, d) with m*N = d*I and d = |det m|; the
-tests compare N/d.  Non-integer entries are rejected with TypeError.
+elimination and back substitution.  The integer kernels are also held to
+the plain algorithms they replaced (Gauss-Jordan over ``Fraction`` in
+conftest, the product, rational congruence signature): equal values, and
+ints out of every kernel.  ``inverse`` returns (N, d) with m*N = d*I and
+d = |det m|; the tests compare N/d.  Non-integer entries are rejected with
+TypeError.
 """
 
 import copy
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (checked_inverse, fan_goeritz_matrices,
+from conftest import (checked_inverse, fan_goeritz_matrices, identity,
                       reference_inverse, square_matrices, sympy_inverse)
-from gamma4.exactalg import (SNFResult, det, identity, inverse,
+from gamma4.exactalg import (SNFResult, det, inverse,
                              mat_mul, mat_transpose, require_square,
                              signature, smith_normal_form)
 from gamma4.planar import goeritz

@@ -1,19 +1,29 @@
-"""The in-place fraction-free ``inverse`` against the augmented one it
-replaced, kept in ``inverse_reference``: the same (N, d), or the same
-exception class and message, on the empty and 1x1 inputs, on matrices
-that swap rows at several steps, on Goeritz matrices and the U of their
-Smith normal forms, and on zero-heavy integer matrices up to 8x8."""
+"""The back-substituting fraction-free ``inverse`` against the
+Gauss-Jordan one kept in ``inverse_reference``: the same (N, d), or the
+same exception class and message, on the empty and 1x1 inputs, on
+matrices that swap rows at several steps, on small matrices that reach
+each path of the bottom-right-first elimination, on Goeritz matrices
+(bundled, both benchmark corpora, the fan constructions) and the U of
+their Smith normal forms, on zero-heavy integer matrices up to 8x8, and
+on sparse, banded, block-diagonal and lower-triangular matrices up to
+12x12."""
 
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import inverse_reference as ref
-from conftest import fan_goeritz_matrices, square_matrices
+from conftest import fan_goeritz_matrices, square_matrices, structured_matrices
 from gamma4.exactalg import inverse, smith_normal_form
 from gamma4.planar import goeritz
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402  (the benchmark's corpora, read only)
 
 
 def outcome(f, m):
@@ -60,6 +70,35 @@ def test_zero_leading_entries(m):
 
 
 @pytest.mark.parametrize("m", [
+    # the bottom-right entry is 0, so pivot 1 swaps in row 0 from above
+    pytest.param([[1, 2], [3, 0]], id="zero-bottom-right"),
+    pytest.param([[2, 1, 0], [1, 0, 3], [0, 4, 0]], id="zero-bottom-right-3x3"),
+    # rows 0 and 1 sit out pivots 2 and 5; row 1's column-1 entry is 0,
+    # so pivot 1 swaps in row 0, still at level 1, and catches it up by 5
+    pytest.param([[1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 3, 1], [1, 0, 1, 2]],
+                 id="swap-in-row-left-two-pivots"),
+    # row 0 sits out pivot 3 and is caught up by 3 inside its update
+    pytest.param([[1, 2, 0], [1, 1, 1], [0, 1, 3]], id="fused-catch-up"),
+    # the last pivot is negative: d is its absolute value
+    pytest.param([[-2, 1], [1, 1]], id="negative-last-pivot"),
+    pytest.param([[1, 0, 2], [0, 1, 1], [1, 1, -1]], id="negative-last-pivot-3x3"),
+    # an SNF's U: lower-triangular with unit diagonal up to sign, and the
+    # same rows permuted
+    pytest.param([[1, 0, 0, 0], [2, -1, 0, 0], [-3, 4, 1, 0], [5, 0, -2, -1]],
+                 id="unit-lower-triangular"),
+    pytest.param([[-3, 4, 1, 0], [1, 0, 0, 0], [5, 0, -2, -1], [2, -1, 0, 0]],
+                 id="row-permuted-unit-lower-triangular"),
+    pytest.param([[2, 0, 0], [1, -3, 0], [4, 5, 7]], id="lower-triangular"),
+    # a Goeritz matrix's shape: symmetric and tridiagonal
+    pytest.param([[3, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, -4, 1, 0],
+                  [0, 0, 1, 2, -1], [0, 0, 0, -1, -3]], id="tridiagonal-symmetric"),
+])
+def test_bottom_right_first_paths(m):
+    assert outcome(inverse, m)[1] > 0
+    assert_same_inverse(m)
+
+
+@pytest.mark.parametrize("m", [
     [[0, 0], [0, 0]],
     [[1, 2], [2, 4]],
     [[0, 1, 2], [0, 3, 1], [0, 1, 1]],
@@ -67,6 +106,9 @@ def test_zero_leading_entries(m):
     [[1, 2], [3]],
     [[Fraction(1, 2), 1], [1, 3]],
     [[2.0, 1], [1, 3]],
+    # every pivot but the top-left one is nonzero
+    pytest.param([[1, 1], [1, 1]], id="singular-at-top-left-2x2"),
+    pytest.param([[1, 2, 3], [4, 5, 6], [7, 8, 9]], id="singular-at-top-left-3x3"),
 ])
 def test_rejected_inputs(m):
     """Singular, non-square, ragged and non-integer inputs raise alike."""
@@ -82,6 +124,16 @@ def test_bundled_goeritz_matrices_and_their_snf_u(dataset):
         assert_same_inverse(smith_normal_form(g).U)
 
 
+@pytest.mark.parametrize("make", [corpus.large_diagrams, corpus.large_orders],
+                         ids=["large-diagrams", "large-orders"])
+def test_benchmark_corpora_and_their_snf_u(make):
+    for seed in (1, 2):
+        for diagram in make(seed):
+            g = goeritz(diagram.record.pd).g
+            assert_same_inverse(g)
+            assert_same_inverse(smith_normal_form(g).U)
+
+
 def test_fan_goeritz_matrices_and_their_snf_u():
     for g in fan_goeritz_matrices():
         assert_same_inverse(g)
@@ -95,4 +147,26 @@ def test_fan_goeritz_matrices_and_their_snf_u():
 @example([[0, 1], [-1, 0]])
 @example([[0, 0, 3], [0, 2, 0], [-1, 0, 0]])
 def test_zero_heavy_integer_matrices(m):
+    assert_same_inverse(m)
+
+
+@st.composite
+def lower_triangular_matrices(draw):
+    """An SNF's U up to 12x12: lower-triangular with a nonzero diagonal,
+    mostly +-1, and its rows permuted or not."""
+    n = draw(st.integers(1, 12))
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(m):
+        row[i] = draw(st.sampled_from((1, -1)) | st.integers(1, 4))
+        for j in draw(st.sets(st.integers(0, max(i - 1, 0)), max_size=i)):
+            row[j] = draw(st.integers(-2, 2) | st.integers(-6, 6))
+    if draw(st.booleans()):
+        m = [m[i] for i in draw(st.permutations(range(n)))]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_matrices() | lower_triangular_matrices())
+@example([[1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 3, 1], [1, 0, 1, 2]])
+def test_structured_matrices(m):
     assert_same_inverse(m)
