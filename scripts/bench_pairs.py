@@ -23,7 +23,8 @@ the same bundled report and summary CSV under each sign convention
 better in at least nine tenths of the pairs (ties count for neither side),
 and the medians further apart than the parent's quartile distance.
 ``--traced-seeds`` adds traced pairs of ``TRACED_SECONDS`` on the claimed
-workload with their per-operation calls and self times.
+workload, or on every workload when nothing is claimed, with their
+per-operation calls and self times.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seeds 101-110 \\
         --claim bundled:throughput_ops_s --traced-seeds 121-123 \\
@@ -325,20 +326,20 @@ def main():
             workload, name, record["workloads"][workload]["metrics"][name])
 
     if args.traced_seeds:
-        workload = claim[0] if claim else workloads[0]
         record["traced"] = {}
-        for i, seed in enumerate(args.traced_seeds):
-            got = {side: run_side(trees[side], workload, seed,
-                                  TRACED_SECONDS, 1) for side in order(i)}
-            record["traced"][f"{workload} seed {seed}"] = {
-                "order": f"{order(i)[0]} first",
-                "correct": {s: got[s]["correct"] for s in SIDES},
-                "per_operation": {
-                    name: {**{s: round(got[s]["metrics"][name]["value"], 4)
-                              for s in SIDES},
-                           "unit": got["parent"]["metrics"][name]["unit"]}
-                    for name in TRACED_METRICS},
-            }
+        for workload in ([claim[0]] if claim else workloads):
+            for i, seed in enumerate(args.traced_seeds):
+                got = {side: run_side(trees[side], workload, seed,
+                                      TRACED_SECONDS, 1) for side in order(i)}
+                record["traced"][f"{workload} seed {seed}"] = {
+                    "order": f"{order(i)[0]} first",
+                    "correct": {s: got[s]["correct"] for s in SIDES},
+                    "per_operation": {
+                        name: {**{s: round(got[s]["metrics"][name]["value"], 4)
+                                  for s in SIDES},
+                               "unit": got["parent"]["metrics"][name]["unit"]}
+                        for name in TRACED_METRICS},
+                }
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")

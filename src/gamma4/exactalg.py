@@ -9,15 +9,16 @@ with TypeError.  An inverse is the integer pair (N, d) with A*N = d*I;
 only ``linkform`` turns such pairs into Q/Z values.
 
 Elimination is fraction-free (Bareiss): each step divides exactly by the
-previous pivot, so intermediate entries are minors of the input.  ``det``
-and ``signature`` update only rows with a nonzero pivot-column entry; any
-other row (which a step would only scale by pivot/prev) keeps its values
-and ``level[i]``, the divisor it was last exact at, and is caught up with
-``x * prev // level[i]`` when next used, exact as the result is a minor.
-``inverse`` eliminates ``[A | I]`` the same way, bottom-right first and
-only above the pivot, with the catch-up fused into the update, and then
-solves the lower-triangular left block by exact back substitution.
-``smith_normal_form`` eliminates on one augmented matrix holding U beside
+previous pivot, so intermediate entries are minors of the input.  One
+lazily scaled loop, ``_eliminate``, serves ``det`` and ``inverse``: pivots
+bottom-right first, only the rows above the pivot cleared, and only those
+with a nonzero pivot-column entry updated.  Any other row keeps its values
+and ``level[i]``, the divisor it was last exact at, and is caught up inside
+its next update, ``(pivot*x - f*y) // level[i]``, exact as the result is a
+minor (Sylvester's identity).  ``det`` is the signed last pivot;
+``inverse`` eliminates ``[A | I]`` and solves the lower-triangular left
+block by exact back substitution.  ``signature`` pivots on the diagonal
+and uses the same update.  ``smith_normal_form`` eliminates on one augmented matrix holding U beside
 D and V below it, so each row or column operation is written once and
 carries its transform along; its pivot search stops at the first unit.
 Coefficient growth stays polynomial at the Goeritz dimensions the
@@ -93,73 +94,23 @@ def mat_transpose(m):
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def det(m):
-    """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination with row pivoting.  A row whose pivot-column entry is 0 is
-    not touched; it keeps ``level[i]`` and is caught up, exactly since its
-    entries are minors, when it next pivots or is updated.  The 0x0
-    determinant is 1 (empty product), which is what the unknot's empty
-    Goeritz matrix needs."""
-    n = require_square(m)
-    if n == 0:
-        return 1
-    a = integer_copy(m)
+def _eliminate(a, n):
+    """Eliminate the n x n left block of the rows ``a`` in place, as the
+    module docstring says, to a lower-triangular block; return the signed
+    last pivot, +-det of that block (1 when n == 0), or 0 when a column has
+    no pivot left.  A zero diagonal entry swaps in the first row above it
+    with a nonzero entry there.  A pivot row is caught up into ``top``
+    only: in ``a`` it stays at its own level, a multiple of ``top``."""
     level = [1] * n
     sign = prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            i = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if i is None:
-                return 0  # a zero column below the diagonal: singular
-            a[k], a[i] = a[i], a[k]
-            level[k], level[i] = level[i], level[k]
-            sign = -sign
-        top = a[k]
-        if level[k] != prev:
-            top = [x * prev // level[k] for x in top]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            if f:
-                if level[i] != prev:
-                    row = [x * prev // level[i] for x in row]
-                    f = row[k]
-                # Sylvester's identity makes every division exact.
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
-                level[i] = pivot
-        prev = pivot
-    return sign * a[-1][-1] * prev // level[-1]
-
-
-def inverse(m):
-    """A^-1 = N/d of an integer matrix A as the integer pair (N, d) with
-    A*N = d*I and d = |det A| > 0, by Bareiss elimination and back solving.
-
-    ``[A | I]`` is eliminated with pivots taken bottom-right first, k = n-1
-    ... 0, clearing column k in the rows above k only, to a lower-triangular
-    left block R beside a right block B with R = B*A.  Only rows with a
-    nonzero pivot-column entry are updated, and a row left at ``level[i]``
-    is caught up inside its update: ``(pivot*x - f*y) // level[i]`` is the
-    stale row scaled by prev/level[i], then eliminated, so it is exact.  The
-    last pivot is +-det A, so N = d*A^-1 = +-adj A solves R*N = d*B: row i
-    of N is ``(d*B_i - sum_{j<i} R_ij*N_j) // R_ii``, exact as N is
-    integral.  A lower-triangular input (an SNF's U) updates no row, and a
-    tridiagonal one (a Goeritz matrix) about one per pivot.
-
-    Raises ValueError on a singular matrix.
-    """
-    n = require_square(m)
-    a = [row + unit_row(n, i) for i, row in enumerate(integer_copy(m))]
-    level = [1] * n
-    prev = 1
     for k in reversed(range(n)):
         if not a[k][k]:
             i = next((i for i in range(k) if a[i][k]), None)
             if i is None:
-                raise ValueError("singular matrix has no inverse")
+                return 0
             a[k], a[i] = a[i], a[k]
             level[k], level[i] = level[i], level[k]
+            sign = -sign
         top = a[k]
         if level[k] != prev:
             top = [x * prev // level[k] for x in top]
@@ -171,7 +122,38 @@ def inverse(m):
                 a[i] = [(pivot * x - f * y) // level[i] for x, y in zip(row, top)]
                 level[i] = pivot
         prev = pivot
-    d = abs(prev)
+    return sign * prev
+
+
+def det(m):
+    """Determinant of an integer matrix: the signed last pivot of
+    ``_eliminate`` on an integer copy.  The shape is checked before the
+    entries, so a ragged matrix raises ValueError whatever it holds.  The
+    0x0 determinant is 1 (empty product), which is what the unknot's empty
+    Goeritz matrix needs."""
+    n = require_square(m)
+    return _eliminate(integer_copy(m), n)
+
+
+def inverse(m):
+    """A^-1 = N/d of an integer matrix A as the integer pair (N, d) with
+    A*N = d*I and d = |det A| > 0, by Bareiss elimination and back solving.
+
+    ``_eliminate`` on ``[A | I]`` leaves a lower-triangular left block R
+    beside a right block B with R = B*A, and its last pivot is +-det A, so
+    N = d*A^-1 = +-adj A solves R*N = d*B: row i of N is
+    ``(d*B_i - sum_{j<i} R_ij*N_j) // R_ii``, exact as N is integral, and
+    unchanged by the scale a row was left at.  A lower-triangular input
+    (an SNF's U) updates no row, and a tridiagonal one (a Goeritz matrix)
+    about one per pivot.
+
+    Raises ValueError on a singular matrix.
+    """
+    n = require_square(m)
+    a = [row + unit_row(n, i) for i, row in enumerate(integer_copy(m))]
+    d = abs(_eliminate(a, n))
+    if not d:
+        raise ValueError("singular matrix has no inverse")
     inv = []
     for i, row in enumerate(a):
         x = row[n:] if d == 1 else [d * y for y in row[n:]]
@@ -303,10 +285,12 @@ def signature(m):
     After pivots P the rows left hold prev * S, S the Schur complement of
     A[P, P] and prev = det A[P, P], so by Sylvester's law of inertia each
     pivot p = prev * S[k][k] adds one eigenvalue of sign sign(p * prev).
-    The pivot is the first nonzero diagonal entry left, and rows are
-    scaled lazily as in ``det``.  An all-zero remaining diagonal gets an
-    off-diagonal entry folded onto it (row/col addition, a unimodular
-    congruence, so later entries are minors of the congruent matrix).
+    The pivot is the first nonzero diagonal entry left, and a row is
+    updated, with ``_eliminate``'s catch-up fused in, only when its own
+    (possibly stale) pivot-column entry is nonzero.  An all-zero remaining
+    diagonal gets an off-diagonal entry folded onto it (row/col addition, a
+    unimodular congruence, so later entries are minors of the congruent
+    matrix).
 
     Requires a nonsingular symmetric integer matrix; 0x0 input has
     signature 0.
@@ -332,18 +316,13 @@ def signature(m):
             for i in left:
                 a[i][k] += a[i][j]
         left.remove(k)
-        top = a[k]
-        if level[k] != prev:
-            top = [x * prev // level[k] for x in top]
+        top = a[k] if level[k] == prev else [x * prev // level[k] for x in a[k]]
         pivot = top[k]
         sig += 1 if (pivot > 0) == (prev > 0) else -1
         for i in left:
-            f = top[i]
+            f = a[i][k]
             if f:
-                row = a[i]
-                if level[i] != prev:
-                    row = [x * prev // level[i] for x in row]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+                a[i] = [(pivot * x - f * y) // level[i] for x, y in zip(a[i], top)]
                 level[i] = pivot
         prev = pivot
     return sig

@@ -64,12 +64,6 @@ class FaceSet:
     walks: tuple
     slot_face: tuple
 
-    @property
-    def corners(self):
-        """``corners[k]`` lists the quadrants (crossing, slot) of face k,
-        aligned with ``faces[k]``."""
-        return tuple([tuple([divmod(q, 4) for q in walk]) for walk in self.walks])
-
     def quadrant_face(self):
         """Map (crossing, slot) -> face index."""
         return {divmod(q, 4): k for q, k in enumerate(self.slot_face)}

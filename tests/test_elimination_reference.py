@@ -1,9 +1,12 @@
-"""The lazy-scaled Bareiss ``det`` and ``signature`` against the dense
-kernels they replaced, kept in ``elimination_reference``: the same
-integer, or the same exception class and message, on Goeritz matrices
-(bundled, both benchmark corpora, the fan constructions), a dense random
-32x32 symmetric matrix, small matrices that reach each lazily scaled path,
-and sparse, banded and block-diagonal matrices up to 12x12."""
+"""The lazily scaled Bareiss ``det`` (the last pivot of the
+bottom-right-first elimination that ``inverse`` also runs) and
+``signature`` (diagonal pivots, the same fused update) against the dense
+top-left-first kernels they replaced, kept in ``elimination_reference``:
+the same integer, or the same exception class and message, on Goeritz
+matrices (bundled, both benchmark corpora, the fan constructions), a dense
+random 32x32 symmetric matrix, small matrices that reach each lazily
+scaled path, and sparse, banded and block-diagonal matrices up to
+12x12."""
 
 import random
 import sys
@@ -67,12 +70,17 @@ def test_dense_random_symmetric_matrix():
 
 
 @pytest.mark.parametrize("m", [
-    # rows 2 and 3 sit out pivots 2 and 5, then are caught up by 5
+    # det: row 0 sits out pivot 5 and is caught up by 5 in its update
     pytest.param([[2, 1, 1, 0], [1, 3, 0, 1], [0, 0, 4, 1], [0, 0, 1, 5]],
                  id="two-pivots-untouched"),
+    # det: rows 0 and 1 sit out pivots 5 and 19, then row 1 pivots and
+    # row 0 is updated, both caught up by 19; signature: rows 2 and 3 sit
+    # out pivots 2 and 5, then row 2 pivots and row 3 is updated, both
+    # caught up by 5
     pytest.param([[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 4, 1], [0, 0, 1, 5]],
                  id="two-pivots-untouched-symmetric"),
-    # step 1's leading entry turns 0 and swaps in row 2, still at level 1
+    # det: row 0 sits out pivot 7 and is caught up by 7 in its update (the
+    # top-left-first reference swaps here instead)
     pytest.param([[2, 2, 0], [1, 1, 3], [0, 5, 7]], id="swap-in-older-row"),
     # the diagonal left after pivot 2 is all zero: the fold adds row 2, at
     # level 2, to row 1, still at level 1
@@ -82,11 +90,16 @@ def test_dense_random_symmetric_matrix():
                  id="fold-levels-1-minus-2"),
     # a fold on two rows at level 1 after the pivot -2
     pytest.param([[0, 0, -1], [0, -2, 0], [-1, 0, 0]], id="fold-both-behind"),
-    # negative pivots, so the catch-up and the eigenvalue sign read prev
+    # negative pivots, so the catch-up and the eigenvalue sign read prev;
+    # det on the last two: a swap, then a pivot row caught up by -1
     pytest.param([[-1, 0], [0, 1]], id="negative-first-pivot"),
     pytest.param([[0, -1], [-1, 0]], id="hyperbolic-plane"),
     pytest.param([[-1, 0, 0], [0, -1, -1], [0, -1, 0]], id="negative-pivots"),
+    # det: the bottom-right 0 swaps in row 0, and that one swap turns the
+    # last pivot -1 into det 1
     pytest.param([[-1, 1, 1], [2, 0, -1], [0, 1, 0]], id="catch-up-by-minus-1"),
+    # det and signature: a row sits out pivot -1 and is caught up by -1
+    # in its update
     pytest.param([[-1, 1, 0], [1, 0, -1], [0, -1, -1]],
                  id="catch-up-by-minus-1-symmetric"),
 ])
@@ -102,12 +115,14 @@ def test_lazily_scaled_paths(m):
     [[1, 2], [3, 4]],
     [[1, 2], [3, 4], [5, 6]],
     [[1, 2], [3]],
+    [[Fraction(1, 2)], [1, 2]],
     [[Fraction(1, 2), 1], [1, 3]],
     [[2.0, 1], [1, 3]],
 ])
 def test_edge_and_rejected_inputs(m):
     """Empty, 1x1, singular, non-symmetric, non-square, ragged and
-    non-integer inputs: the same value or the same exception."""
+    non-integer inputs: the same value or the same exception.  A ragged
+    matrix with a non-integer entry raises for its shape, checked first."""
     assert_same(m)
 
 

@@ -2,7 +2,9 @@
 Gauss-Jordan one kept in ``inverse_reference``: the same (N, d), or the
 same exception class and message, on the empty and 1x1 inputs, on
 matrices that swap rows at several steps, on small matrices that reach
-each path of the bottom-right-first elimination, on Goeritz matrices
+each path of the bottom-right-first elimination (where ``det``, which
+reads the same elimination's last pivot, must also match the dense
+``elimination_reference.det``), on Goeritz matrices
 (bundled, both benchmark corpora, the fan constructions) and the U of
 their Smith normal forms, on zero-heavy integer matrices up to 8x8, and
 on sparse, banded, block-diagonal and lower-triangular matrices up to
@@ -17,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import elimination_reference
 import inverse_reference as ref
 from conftest import fan_goeritz_matrices, square_matrices, structured_matrices
-from gamma4.exactalg import inverse, smith_normal_form
+from gamma4.exactalg import det, inverse, smith_normal_form
 from gamma4.planar import goeritz
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -36,6 +39,10 @@ def outcome(f, m):
 
 def assert_same_inverse(m):
     assert outcome(inverse, m) == outcome(ref.inverse, m), m
+
+
+def assert_same_det(m):
+    assert outcome(det, m) == outcome(elimination_reference.det, m), m
 
 
 def test_empty_matrix():
@@ -72,6 +79,10 @@ def test_zero_leading_entries(m):
 @pytest.mark.parametrize("m", [
     # the bottom-right entry is 0, so pivot 1 swaps in row 0 from above
     pytest.param([[1, 2], [3, 0]], id="zero-bottom-right"),
+    # three swaps, the last two bringing in a row that sat out a pivot,
+    # and pivots caught up by -1: det is -5, so a lost swap sign shows
+    pytest.param([[2, 0, -1, 0], [0, 0, 0, -1], [-1, 1, 0, 2], [1, 0, 2, 0]],
+                 id="three-swaps"),
     pytest.param([[2, 1, 0], [1, 0, 3], [0, 4, 0]], id="zero-bottom-right-3x3"),
     # rows 0 and 1 sit out pivots 2 and 5; row 1's column-1 entry is 0,
     # so pivot 1 swaps in row 0, still at level 1, and catches it up by 5
@@ -96,6 +107,7 @@ def test_zero_leading_entries(m):
 def test_bottom_right_first_paths(m):
     assert outcome(inverse, m)[1] > 0
     assert_same_inverse(m)
+    assert det(m) == elimination_reference.det(m) != 0
 
 
 @pytest.mark.parametrize("m", [
@@ -104,16 +116,24 @@ def test_bottom_right_first_paths(m):
     [[0, 1, 2], [0, 3, 1], [0, 1, 1]],
     [[1, 2], [3, 4], [5, 6]],
     [[1, 2], [3]],
+    [[Fraction(1, 2)], [1, 2]],
     [[Fraction(1, 2), 1], [1, 3]],
     [[2.0, 1], [1, 3]],
     # every pivot but the top-left one is nonzero
     pytest.param([[1, 1], [1, 1]], id="singular-at-top-left-2x2"),
     pytest.param([[1, 2, 3], [4, 5, 6], [7, 8, 9]], id="singular-at-top-left-3x3"),
+    # the bottom-right 0 swaps rows 0 and 2; row 0 sits out pivot 2, is
+    # caught up by 2 in its update by pivot 6 and leaves column 0 with no
+    # pivot, so det is 0 while inverse raises
+    pytest.param([[1, 1, 2], [1, 2, -2], [2, 3, 0]],
+                 id="singular-only-in-top-left-column"),
 ])
 def test_rejected_inputs(m):
-    """Singular, non-square, ragged and non-integer inputs raise alike."""
+    """Singular, non-square, ragged and non-integer inputs raise alike,
+    and ``det`` gives the same 0 or raises the same exception."""
     assert outcome(inverse, m)[0] in (TypeError, ValueError)
     assert_same_inverse(m)
+    assert_same_det(m)
 
 
 def test_bundled_goeritz_matrices_and_their_snf_u(dataset):
