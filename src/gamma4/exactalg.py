@@ -10,17 +10,18 @@ only ``linkform`` turns such pairs into Q/Z values.
 
 Elimination is fraction-free (Bareiss): each step divides exactly by the
 previous pivot, so intermediate entries are minors of the input.  One
-lazily scaled loop, ``_eliminate``, serves ``det`` and ``inverse``: pivots
-bottom-right first, only the rows above the pivot cleared, and only those
-with a nonzero pivot-column entry updated.  Any other row keeps its values
-and ``level[i]``, the divisor it was last exact at, and is caught up inside
-its next update, ``(pivot*x - f*y) // level[i]``, exact as the result is a
-minor (Sylvester's identity).  ``det`` is the signed last pivot;
-``inverse`` eliminates ``[A | I]`` and solves the lower-triangular left
-block by exact back substitution.  ``signature`` pivots on the diagonal
-and uses the same update.  ``smith_normal_form`` eliminates on one augmented matrix holding U beside
-D and V below it, so each row or column operation is written once and
-carries its transform along; its pivot search stops at the first unit.
+lazily scaled step, ``_pivot``, updates only the rows with a nonzero
+pivot-column entry.  Any other row keeps its values and ``level[i]``, the
+divisor it was last exact at, and is caught up inside its next update,
+``(pivot*x - f*y) // level[i]``, exact as the result is a minor
+(Sylvester's identity).  ``_eliminate`` takes that step bottom-right
+first, clearing the rows above each pivot: ``det`` is its signed last
+pivot, and ``inverse`` runs it on ``[A | I]`` and solves the
+lower-triangular left block by exact back substitution.  ``signature``
+takes the same step on diagonal pivots.  ``smith_normal_form`` eliminates
+on one augmented matrix holding U beside D and V below it, so each row or
+column operation is written once and carries its transform along; its
+pivot search stops at the first unit.
 Coefficient growth stays polynomial at the Goeritz dimensions the
 pipeline meets (tens of rows).
 """
@@ -94,13 +95,31 @@ def mat_transpose(m):
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
+def _pivot(a, level, prev, k, rows):
+    """One lazy Bareiss step on pivot row k, as the module docstring says:
+    catch row k up to ``prev``, update each of ``rows`` whose (possibly
+    stale) column-k entry is nonzero, and return the pivot.  Row k is
+    caught up into ``top`` only: in ``a`` it stays at its own level, a
+    multiple of ``top``."""
+    top = a[k]
+    if level[k] != prev:
+        top = [x * prev // level[k] for x in top]
+    pivot = top[k]
+    for i in rows:
+        f = a[i][k]
+        if f:
+            a[i] = [(pivot * x - f * y) // level[i]
+                    for x, y in zip(a[i], top)]
+            level[i] = pivot
+    return pivot
+
+
 def _eliminate(a, n):
-    """Eliminate the n x n left block of the rows ``a`` in place, as the
-    module docstring says, to a lower-triangular block; return the signed
-    last pivot, +-det of that block (1 when n == 0), or 0 when a column has
-    no pivot left.  A zero diagonal entry swaps in the first row above it
-    with a nonzero entry there.  A pivot row is caught up into ``top``
-    only: in ``a`` it stays at its own level, a multiple of ``top``."""
+    """Eliminate the n x n left block of the rows ``a`` in place, pivots
+    bottom-right first, to a lower-triangular block; return the signed last
+    pivot, +-det of that block (1 when n == 0), or 0 when a column has no
+    pivot left.  A zero diagonal entry swaps in the first row above it with
+    a nonzero entry there."""
     level = [1] * n
     sign = prev = 1
     for k in reversed(range(n)):
@@ -111,17 +130,7 @@ def _eliminate(a, n):
             a[k], a[i] = a[i], a[k]
             level[k], level[i] = level[i], level[k]
             sign = -sign
-        top = a[k]
-        if level[k] != prev:
-            top = [x * prev // level[k] for x in top]
-        pivot = top[k]
-        for i in range(k):
-            row = a[i]
-            f = row[k]
-            if f:
-                a[i] = [(pivot * x - f * y) // level[i] for x, y in zip(row, top)]
-                level[i] = pivot
-        prev = pivot
+        prev = _pivot(a, level, prev, k, range(k))
     return sign * prev
 
 
@@ -285,9 +294,9 @@ def signature(m):
     After pivots P the rows left hold prev * S, S the Schur complement of
     A[P, P] and prev = det A[P, P], so by Sylvester's law of inertia each
     pivot p = prev * S[k][k] adds one eigenvalue of sign sign(p * prev).
-    The pivot is the first nonzero diagonal entry left, and a row is
-    updated, with ``_eliminate``'s catch-up fused in, only when its own
-    (possibly stale) pivot-column entry is nonzero.  An all-zero remaining
+    The pivot is the first nonzero diagonal entry left, and ``_pivot``
+    updates the rows left whose own (possibly stale) pivot-column entry is
+    nonzero, catching each up inside its update.  An all-zero remaining
     diagonal gets an off-diagonal entry folded onto it (row/col addition, a
     unimodular congruence, so later entries are minors of the congruent
     matrix).
@@ -316,13 +325,7 @@ def signature(m):
             for i in left:
                 a[i][k] += a[i][j]
         left.remove(k)
-        top = a[k] if level[k] == prev else [x * prev // level[k] for x in a[k]]
-        pivot = top[k]
+        pivot = _pivot(a, level, prev, k, left)
         sig += 1 if (pivot > 0) == (prev > 0) else -1
-        for i in left:
-            f = a[i][k]
-            if f:
-                a[i] = [(pivot * x - f * y) // level[i] for x, y in zip(a[i], top)]
-                level[i] = pivot
         prev = pivot
     return sig
