@@ -23,8 +23,8 @@ the same bundled report and summary CSV under each sign convention
 better in at least nine tenths of the pairs (ties count for neither side),
 and the medians further apart than the parent's quartile distance.
 ``--traced-seeds`` adds traced pairs of ``TRACED_SECONDS`` on the claimed
-workload, or on every workload when nothing is claimed, with their
-per-operation calls and self times.
+workload, or on every workload when nothing is claimed, with every
+``per_layer`` metric of the parent's ``BENCHMARK.json``.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seeds 101-110 \\
         --claim bundled:throughput_ops_s --traced-seeds 121-123 \\
@@ -51,18 +51,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
 TRACED_SECONDS = 10
-TRACED_METRICS = ("planar.goeritz.calls", "exactalg.det.calls",
-                  "linkform.linking_form.calls", "pipeline.analyze_diagram.calls",
-                  "bounds.classify.calls", "knotio.load_dataset.ms",
-                  "knotio.parse_pd.ms", "bounds.classify.ms",
-                  "planar.goeritz.ms", "linkform.linking_form.ms",
-                  "pipeline.run_classification.ms", "pipeline.report_json.ms",
-                  "pipeline.resolve_sign_convention.ms",
-                  "exactalg.det.ms", "exactalg.signature.ms",
-                  "exactalg.inverse.ms", "exactalg.inverse.calls",
-                  "exactalg.smith_normal_form.ms",
-                  "exactalg.smith_normal_form.calls",
-                  "trace.throughput_ops_s", "trace.overhead_ratio")
 # the ``gamma4 classify`` flags of every setting whose report must not move
 IDENTITY_SETTINGS = {"auto": (), "fixed+": ("--sign-convention", "fixed+"),
                      "fixed-": ("--sign-convention", "fixed-"),
@@ -338,7 +326,7 @@ def main():
                         name: {**{s: round(got[s]["metrics"][name]["value"], 4)
                                   for s in SIDES},
                                "unit": got["parent"]["metrics"][name]["unit"]}
-                        for name in TRACED_METRICS},
+                        for name in (m["name"] for m in spec["per_layer"])},
                 }
 
     out = ROOT / f"BENCH_{args.pr}.json"

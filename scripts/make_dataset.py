@@ -33,8 +33,8 @@ from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS,  # noqa: E402
                            render_pd, validate_pd)
 from gamma4.linkform import homology, linking_form, represents  # noqa: E402
 from gamma4.medial import (PlanarGraph, conjugate_by_permutation_sign,  # noqa: E402
-                           fan_graph, medial_pd, outer_face_for_region)
-from gamma4.planar import goeritz, signature_via_goeritz  # noqa: E402
+                           fan_graph, medial_pd)
+from gamma4.planar import faces, goeritz, signature_via_goeritz  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # published per-knot facts
@@ -313,7 +313,7 @@ def build_realization(name):
         graph = fan_graph(apex, path, eta)
     pd, regions = medial_pd(graph)
     validate_pd(pd)
-    outer = outer_face_for_region(pd, regions[0])
+    outer = faces(pd).slot_face[regions[0]]
     gd = goeritz(pd, outer=outer)
 
     match = conjugate_by_permutation_sign(gd.gfull, graph.goeritz_full(),

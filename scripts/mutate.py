@@ -72,6 +72,16 @@ MUTATIONS = (
              "goeritz: diag(1, ..., 1, det G) keeps det and the signature's "
              "parity but makes H1 cyclic; the Fox H1 of a corpus diagram "
              "with H1 = Z7 + Z49 differs"),
+    Mutation("src/gamma4/medial.py",
+             "region_corners.setdefault(u, base + (1 - a) % 4)",
+             "region_corners.setdefault(u, base + (3 - a) % 4)",
+             "medial_pd: region u's corner is at slot (1 - a) % 4; the one "
+             "at (3 - a) % 4 lies in region v, so rooting there colors the "
+             "other class white"),
+    Mutation("src/gamma4/linkform.py", "disc = (a * c - b * b) % p",
+             "disc = (a * c + b * b) % p",
+             "klein_discriminant: the discriminant of the form on Zp + Zp "
+             "is ac - b^2"),
 )
 
 

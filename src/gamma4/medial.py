@@ -26,7 +26,6 @@ from itertools import permutations
 
 from .errors import DiagramError
 from .knotio import PDCode
-from .planar import faces
 
 
 @dataclass
@@ -82,9 +81,9 @@ class PlanarGraph:
 def medial_pd(graph: PlanarGraph):
     """Build the PD code of the medial diagram of a signed planar graph.
 
-    Returns ``(pd, region_quadrants)`` where ``region_quadrants[w]`` is a
-    (crossing, quadrant-slot) pair lying inside the white region of vertex
-    w, usable to root a checkerboard coloring at a chosen region.
+    Returns ``(pd, region_corners)``: the corner at slot
+    ``region_corners[w] = 4*e + s`` lies in the white region of vertex w,
+    so ``faces(pd).slot_face[region_corners[w]]`` roots a coloring there.
 
     Raises DiagramError if the medial closes into more than one component.
     """
@@ -125,10 +124,10 @@ def medial_pd(graph: PlanarGraph):
     # Quadrant geometry per crossing: the PD code starts at the incoming
     # under-end, at position a of the counterclockwise ends (v,BEFORE),
     # (u,AFTER), (u,BEFORE), (v,AFTER); eta = +1 puts the BEFORE-BEFORE
-    # strand underneath.  Region u's quadrant then sits at slot (1 - a) % 4
+    # strand underneath.  Region u's corner then sits at slot (1 - a) % 4
     # and region v's at (3 - a) % 4.
     crossings = []
-    region_quadrants = {}
+    region_corners = {}
     for e, (u, v, eta) in enumerate(edges):
         base = 4 * e
         if eta == 1:
@@ -137,19 +136,11 @@ def medial_pd(graph: PlanarGraph):
             a = 1 if incoming[base + 1] else 3
         ccw = (label[base + 2], label[base + 1], label[base], label[base + 3])
         crossings.append(ccw[a:] + ccw[:a])
-        if u not in region_quadrants:
-            region_quadrants[u] = (e, (1 - a) % 4)
-        if v not in region_quadrants:
-            region_quadrants[v] = (e, (3 - a) % 4)
+        region_corners.setdefault(u, base + (1 - a) % 4)
+        region_corners.setdefault(v, base + (3 - a) % 4)
 
     pd = PDCode(tuple(crossings))
-    return pd, region_quadrants
-
-
-def outer_face_for_region(pd, region_quadrant):
-    """Face index of the region marked by a (crossing, quadrant) pair."""
-    fs = faces(pd)
-    return fs.quadrant_face()[region_quadrant]
+    return pd, region_corners
 
 
 def fan_graph(apex_counts, path_counts, eta=1):

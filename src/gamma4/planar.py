@@ -8,7 +8,8 @@ the edge labelled there.  A face walk arriving at slot s sweeps that
 corner and leaves along slot s+1, so it arrives next at
 ``partner[4*i + (s+1) % 4]``.  Faces are exactly the orbits of that walk
 rule, and a realizable diagram of n crossings has n + 2 of them
-(V - E + F = 2 with V = n, E = 2n).
+(V - E + F = 2 with V = n, E = 2n).  A face is kept only as its walk of
+slots, and its edges are the labels at those slots.
 
 With a coloring fixed (white on the unbounded face), every crossing sees
 one opposite pair of white quadrants.  The crossing sign eta and the
@@ -53,20 +54,14 @@ def calibration():
 class FaceSet:
     """Faces of the diagram on the 2-sphere.
 
-    ``faces[k]`` is the cyclic tuple of edges bordering face k, in the
-    order its walk meets them.  ``walks[k]`` lists the corners swept by
-    the same walk as slots ``4*i + s``, aligned with ``faces[k]``, and
-    ``slot_face[4*i + s]`` is the face holding corner (i, s).
+    ``walks[k]`` lists the corners swept by the walk of face k as slots
+    ``4*i + s``, in the order the walk meets them, and
+    ``slot_face[4*i + s]`` is the face holding that corner.  The walk
+    arrives at each corner along the edge labelled at its slot.
     """
 
-    n: int
-    faces: tuple
     walks: tuple
     slot_face: tuple
-
-    def quadrant_face(self):
-        """Map (crossing, slot) -> face index."""
-        return {divmod(q, 4): k for q, k in enumerate(self.slot_face)}
 
 
 def faces(pd: PDCode) -> FaceSet:
@@ -89,9 +84,9 @@ def faces(pd: PDCode) -> FaceSet:
         bad = sorted({labels[q] for q, p in enumerate(partner) if p < 0})
         raise DiagramError(f"edges {bad} do not border exactly two faces")
 
+    # a walk step now permutes the 4n slots, so every walk closes
     slot_face = [-1] * (4 * n)
     walks = []
-    all_faces = []
     for start in range(4 * n):
         if slot_face[start] >= 0:
             continue
@@ -102,17 +97,11 @@ def faces(pd: PDCode) -> FaceSet:
             slot_face[slot] = k
             walk.append(slot)
             slot = partner[slot + 1 if slot & 3 != 3 else slot - 3]
-        if slot != start:
-            raise DiagramError("face walk failed to close; inconsistent diagram")
         walks.append(tuple(walk))
-        # from a list: tuple() over a generator here made the peak RSS
-        # grow with every pass over a corpus of diagrams
-        all_faces.append(tuple([labels[q] for q in walk]))
     if len(walks) != n + 2:
         raise DiagramError(
             f"diagram is not planar: traced {len(walks)} faces, expected {n + 2}")
-    return FaceSet(n=n, faces=tuple(all_faces), walks=tuple(walks),
-                   slot_face=tuple(slot_face))
+    return FaceSet(walks=tuple(walks), slot_face=tuple(slot_face))
 
 
 @dataclass(frozen=True)
@@ -138,7 +127,7 @@ class Coloring:
 
 def default_outer_face(fs: FaceSet) -> int:
     """Deterministic outer-face choice: most incidences, lowest index wins."""
-    return _largest_face(fs, range(len(fs.faces)))
+    return _largest_face(fs, range(len(fs.walks)))
 
 
 def _largest_face(fs, candidates):
@@ -155,12 +144,12 @@ class _NugatoryCrossing(DiagramError):
         self.colors = colors
 
 
-def _face_colors(fs: FaceSet, outer):
+def _face_colors(pd: PDCode, fs: FaceSet, outer):
     """Two-color the faces, ``outer`` white.  The edge a walk arrives
     along at corner ``4*i + s`` separates its face from the face of corner
     ``4*i + (s-1) % 4``, so a face's walk lists its neighbors."""
     slot_face = fs.slot_face
-    colors = [None] * len(fs.faces)
+    colors = [None] * len(fs.walks)
     colors[outer] = WHITE
     stack = [outer]
     while stack:
@@ -173,7 +162,7 @@ def _face_colors(fs: FaceSet, outer):
                 stack.append(nb)
             elif colors[nb] != want:
                 if nb == k:
-                    edge = fs.faces[k][fs.walks[k].index(q)]
+                    edge = pd.crossings[q >> 2][q & 3]
                     raise DiagramError(f"edge {edge} borders the same face "
                                        "twice; cannot checkerboard-color")
                 raise DiagramError("face adjacency graph is not bipartite")
@@ -189,12 +178,12 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
     ``outer`` picks the unbounded face; diagrams live on the sphere, so
     the choice is genuine input data recovered from the source picture.
     """
-    nfaces = len(fs.faces)
+    nfaces = len(fs.walks)
     if outer is None:
         outer = default_outer_face(fs)
     if not 0 <= outer < nfaces:
         raise DiagramError(f"outer face {outer} out of range 0..{nfaces - 1}")
-    colors = _face_colors(fs, outer)
+    colors = _face_colors(pd, fs, outer)
 
     white_faces = [outer] + [k for k in range(nfaces) if colors[k] == WHITE and k != outer]
     white_index = {k: i for i, k in enumerate(white_faces)}

@@ -26,6 +26,14 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "gamma4" / "data"
 TREFOIL_PD = "PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]"
 
 
+def face_edges(pd, fs):
+    """The edge labels bordering each face of ``fs = faces(pd)``, in the
+    order its walk meets them: a walk arrives at corner ``4*i + s`` along
+    the edge labelled at slot s of crossing i."""
+    labels = [label for quad in pd.crossings for label in quad]
+    return tuple(tuple(labels[q] for q in walk) for walk in fs.walks)
+
+
 def torus2(n):
     """T(2,n) for odd n, in the chirality of the table knots 3_1, 5_1, ...
 

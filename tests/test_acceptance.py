@@ -69,7 +69,7 @@ def test_goeritz_golden_11n155(dataset_by_name):
     pd = dataset_by_name["11n155"].pd
     fs = faces(pd)
     matches = []
-    for outer in range(len(fs.faces)):
+    for outer in range(len(fs.walks)):
         gd = goeritz(pd, outer=outer)
         assert abs(det(gd.g)) == 51  # determinant is coloring-independent
         if len(gd.g) == 4:

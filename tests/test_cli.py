@@ -8,8 +8,9 @@ import pytest
 from sympy import factorint, legendre_symbol
 
 from conftest import TREFOIL_PD
+from gamma4 import planar
 from gamma4.cli import main
-from gamma4.knotio import DATASET_COLUMNS, render_pd
+from gamma4.knotio import DATASET_COLUMNS, parse_pd, render_pd
 from gamma4.medial import fan_graph, medial_pd
 
 
@@ -36,6 +37,25 @@ def test_goeritz_csv_dump(capsys):
     code, out, _err = run(capsys, "goeritz", "--pd", TREFOIL_PD, "--csv")
     assert code == 0
     assert "G' as CSV" in out and "G as CSV" in out
+
+
+def test_goeritz_outer_face_prints_that_coloring(capsys):
+    pd = parse_pd(TREFOIL_PD)
+    gd = planar.goeritz(pd, outer=0)
+    # face 0 is not the default outer face, and its coloring differs
+    assert planar.default_outer_face(planar.faces(pd)) != 0
+    assert gd.g == [[-2, 1], [1, -2]] != planar.goeritz(pd).g
+    code, out, _err = run(capsys, "goeritz", "--pd", TREFOIL_PD, "--outer", "0")
+    assert code == 0
+    assert "G (row/column 0 deleted):\n  [-2  1]\n  [ 1 -2]\n" in out
+    assert f"mu = {gd.mu}\n" in out
+
+
+@pytest.mark.parametrize("outer", ["5", "-1"])
+def test_goeritz_outer_face_out_of_range_exits_2(capsys, outer):
+    code, out, err = run(capsys, "goeritz", "--pd", TREFOIL_PD, "--outer", outer)
+    assert code == 2 and out == ""
+    assert f"outer face {outer} out of range 0..4" in err
 
 
 def test_goeritz_malformed_exits_2(capsys):

@@ -8,14 +8,14 @@ from gamma4.errors import DiagramError
 from gamma4.exactalg import det
 from gamma4.knotio import validate_pd
 from gamma4.medial import (PlanarGraph, conjugate_by_permutation_sign,
-                           fan_graph, medial_pd, outer_face_for_region)
-from gamma4.planar import goeritz
+                           fan_graph, medial_pd)
+from gamma4.planar import faces, goeritz
 
 
 def roundtrip(graph):
     pd, regions = medial_pd(graph)
     validate_pd(pd)
-    outer = outer_face_for_region(pd, regions[0])
+    outer = faces(pd).slot_face[regions[0]]
     gd = goeritz(pd, outer=outer)
     match = conjugate_by_permutation_sign(gd.gfull, graph.goeritz_full(),
                                           fix_first=True)

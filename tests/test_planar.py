@@ -3,7 +3,8 @@
 import pytest
 
 import planar_reference
-from conftest import TREFOIL_PD, anchor_knots, connect_sum, mirror, torus2
+from conftest import (TREFOIL_PD, anchor_knots, connect_sum, face_edges, mirror,
+                      torus2)
 from gamma4 import planar
 from gamma4.errors import DiagramError
 from gamma4.exactalg import det, is_symmetric
@@ -19,19 +20,18 @@ TREFOIL = parse_pd(TREFOIL_PD)
 
 def test_trefoil_face_count():
     fs = faces(TREFOIL)
-    assert len(fs.faces) == 5
+    assert len(fs.walks) == 5
 
 
 def test_eleven_crossing_face_count(dataset_by_name):
     pd = dataset_by_name["11n155"].pd
-    assert len(faces(pd).faces) == 13
+    assert len(faces(pd).walks) == 13
 
 
 def test_each_edge_borders_two_faces():
     for pd in (TREFOIL, torus2(7), mirror(torus2(5))):
-        fs = faces(pd)
         seen = {}
-        for face in fs.faces:
+        for face in face_edges(pd, faces(pd)):
             for edge in face:
                 seen[edge] = seen.get(edge, 0) + 1
         assert all(v == 2 for v in seen.values())
@@ -54,7 +54,7 @@ def test_faces_reject_nonplanar_code():
 def test_face_counts_across_dataset(dataset):
     for rec in dataset:
         if rec.pd is not None:
-            assert len(faces(rec.pd).faces) == len(rec.pd) + 2
+            assert len(faces(rec.pd).walks) == len(rec.pd) + 2
 
 
 # checkerboard ----------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_coloring_is_proper_and_outer_is_white():
     col = checkerboard(TREFOIL, fs)
     assert col.colors[col.outer_face] == WHITE
     edge_faces = {}
-    for k, face in enumerate(fs.faces):
+    for k, face in enumerate(face_edges(TREFOIL, fs)):
         for edge in face:
             edge_faces.setdefault(edge, []).append(k)
     for f1, f2 in edge_faces.values():
@@ -76,7 +76,7 @@ def test_both_color_classes_give_proper_colorings():
     # choosing an outer face of the opposite class swaps white and black
     fs = faces(TREFOIL)
     sizes = set()
-    for outer in range(len(fs.faces)):
+    for outer in range(len(fs.walks)):
         col = checkerboard(TREFOIL, fs, outer=outer)
         sizes.add(col.white_count)
     assert sizes == {2, 3}
@@ -113,9 +113,9 @@ def test_nugatory_retry_reuses_the_default_coloring(monkeypatch):
     outers = []
     face_colors = planar._face_colors
 
-    def counted(fs, outer):
+    def counted(pd, fs, outer):
         outers.append(outer)
-        return face_colors(fs, outer)
+        return face_colors(pd, fs, outer)
 
     monkeypatch.setattr(planar, "_face_colors", counted)
     assert goeritz(pd) == expected
@@ -146,7 +146,7 @@ def test_unknot_goeritz_short_circuit():
 def test_goeritz_structural_invariants():
     for pd in (TREFOIL, torus2(5), torus2(9), connect_sum(TREFOIL, TREFOIL)):
         fs = faces(pd)
-        for outer in range(len(fs.faces)):
+        for outer in range(len(fs.walks)):
             gd = goeritz(pd, outer=outer)
             assert is_symmetric(gd.gfull)
             assert all(sum(row) == 0 for row in gd.gfull)
@@ -174,7 +174,7 @@ def test_signature_anchors_all_outer_faces():
     mirrors and connected sums, for every choice of unbounded face."""
     for name, pd, sigma, expected_det in anchor_knots():
         fs = faces(pd)
-        for outer in range(len(fs.faces)):
+        for outer in range(len(fs.walks)):
             gd = goeritz(pd, outer=outer)
             assert signature_via_goeritz(gd) == sigma, (name, outer)
             assert abs(det(gd.g)) == expected_det, (name, outer)
@@ -186,7 +186,7 @@ def test_signature_is_coloring_invariant_on_dataset(dataset):
             continue
         fs = faces(rec.pd)
         sigs = {signature_via_goeritz(goeritz(rec.pd, outer=outer))
-                for outer in range(len(fs.faces))}
+                for outer in range(len(fs.walks))}
         assert len(sigs) == 1, rec.name
 
 

@@ -1,7 +1,8 @@
 """The slot-array front end (faces, checkerboard coloring, Goeritz matrix,
 over-strand directions) against the dict-based one it replaced, kept in
 ``planar_reference``: equal faces, corners, colorings and Goeritz data,
-and the same exception class on every error path."""
+with the reference's ``(crossing, slot)`` corners read as slots
+``4*i + s``, and the same exception class on every error path."""
 
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import planar_reference as ref
-from conftest import connect_sum, mixed_fan_pd
+from conftest import connect_sum, face_edges, mixed_fan_pd
 from gamma4 import planar
 from gamma4.errors import DiagramError, PDSemanticError
 from gamma4.knotio import PDCode, over_directions, parse_pd
@@ -34,8 +35,10 @@ def assert_front_ends_agree(pd):
         assert got == want
         return
     fs, fs_ref = got[1], want[1]
-    assert (fs.n, fs.faces, fs.quadrant_face()) == (
-        fs_ref.n, fs_ref.faces, fs_ref.quadrant_face())
+    ref_face = fs_ref.quadrant_face()
+    assert face_edges(pd, fs) == fs_ref.faces
+    assert fs.slot_face == tuple(ref_face[divmod(q, 4)]
+                                 for q in range(4 * fs_ref.n))
     assert tuple(tuple(divmod(q, 4) for q in walk)
                  for walk in fs.walks) == fs_ref.corners
     assert planar.default_outer_face(fs) == ref.default_outer_face(fs_ref)

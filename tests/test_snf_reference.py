@@ -26,7 +26,7 @@ def goeritz_at_every_outer_face(pd):
     """G and the singular full G' at the default and every outer face
     that admits a Goeritz matrix."""
     out = []
-    for outer in [None, *range(len(faces(pd).faces))]:
+    for outer in [None, *range(len(faces(pd).walks))]:
         try:
             gd = goeritz(pd, outer=outer)
         except DiagramError:
