@@ -32,9 +32,9 @@ from gamma4.exactalg import det  # noqa: E402
 from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS,  # noqa: E402
                            render_pd, validate_pd)
 from gamma4.linkform import homology, linking_form, represents  # noqa: E402
-from gamma4.medial import (PlanarGraph, conjugate_by_permutation_sign,  # noqa: E402
-                           fan_graph, medial_pd)
-from gamma4.planar import faces, goeritz, signature_via_goeritz  # noqa: E402
+from gamma4.medial import PlanarGraph, fan_graph, medial_pd  # noqa: E402
+from gamma4.planar import (checkerboard, faces, goeritz,  # noqa: E402
+                           signature_via_goeritz)
 
 # ---------------------------------------------------------------------------
 # published per-knot facts
@@ -313,17 +313,22 @@ def build_realization(name):
         graph = fan_graph(apex, path, eta)
     pd, regions = medial_pd(graph)
     validate_pd(pd)
-    outer = faces(pd).slot_face[regions[0]]
+    fs = faces(pd)
+    outer = fs.slot_face[regions[0]]
     gd = goeritz(pd, outer=outer)
 
-    match = conjugate_by_permutation_sign(gd.gfull, graph.goeritz_full(),
-                                          fix_first=True)
-    assert match is not None, f"{name}: medial round trip failed"
+    # vertex w is white region r[w]: G' must match exactly, sign included
+    white = checkerboard(pd, fs, outer).white_faces
+    r = [white.index(fs.slot_face[regions[w]])
+         for w in range(graph.vertex_count)]
+    assert sorted(r) == list(range(len(gd.gfull))), f"{name}: region map {r}"
+    assert [[gd.gfull[i][j] for j in r] for i in r] == graph.goeritz_full(), \
+        f"{name}: medial round trip failed"
     d = det(gd.g)
     assert abs(d) == target_det, f"{name}: det {d} != {target_det}"
     group = homology(gd)
     assert group.is_cyclic and group.order == target_det, f"{name}: {group}"
-    form = linking_form(gd).fix_sign(1)
+    form = linking_form(gd)
     if mode == "any":
         assert represents(form, numerator) or represents(form, -numerator), \
             f"{name}: published fraction {numerator}/{target_det} not " \
@@ -336,7 +341,7 @@ def build_realization(name):
     arf = arf_from_det(target_det)
     assert sigma % 2 == 0
     if name == "11n155":
-        assert conjugate_by_permutation_sign(gd.g, GOERITZ_155) is not None, \
+        assert gd.g == GOERITZ_155, \
             "11n155: reconstructed G does not match the published matrix"
     return pd, sigma, arf, target_det
 

@@ -78,6 +78,9 @@ MUTATIONS = (
              "medial_pd: region u's corner is at slot (1 - a) % 4; the one "
              "at (3 - a) % 4 lies in region v, so rooting there colors the "
              "other class white"),
+    Mutation("src/gamma4/medial.py", "if eta == 1:", "if eta == -1:",
+             "medial_pd: eta = +1 puts the BEFORE-BEFORE strand underneath; "
+             "swapping the strands mirrors the diagram, which negates G'"),
     Mutation("src/gamma4/linkform.py", "disc = (a * c - b * b) % p",
              "disc = (a * c + b * b) % p",
              "klein_discriminant: the discriminant of the form on Zp + Zp "

@@ -173,8 +173,6 @@ class ObstructionVerdict:
 def homology(gd) -> FiniteAbelianGroup:
     """Invariant factors of coker(G): the SNF diagonal with the 1s dropped."""
     g = gd.g
-    if not g:
-        return FiniteAbelianGroup(())
     if exactalg.det(g) == 0:
         raise DiagramError("singular Goeritz matrix is not a knot Goeritz matrix")
     snf = exactalg.smith_normal_form(g)
@@ -192,12 +190,10 @@ def linking_form(gd) -> LinkingForm:
     killed by the order d_j of g_j.  A unimodular or empty G keeps none.
     """
     g = gd.g
-    keep = []
-    if g:
-        if exactalg.det(g) == 0:
-            raise DiagramError("singular Goeritz matrix has no linking form")
-        snf = exactalg.smith_normal_form(g)
-        keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    if exactalg.det(g) == 0:
+        raise DiagramError("singular Goeritz matrix has no linking form")
+    snf = exactalg.smith_normal_form(g)
+    keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
     if not keep:
         return LinkingForm(group=FiniteAbelianGroup(()), b=())
     u_inverse, _ = exactalg.inverse(snf.U)  # U is unimodular: d = 1

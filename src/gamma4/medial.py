@@ -5,8 +5,8 @@ vertices are white regions, edges are crossings (signed by eta), and the
 planar embedding is a rotation system.  This module rebuilds the diagram
 from that data, which is how the bundled PD codes were produced: a
 published Goeritz matrix determines the signed white graph, the graph is
-embedded, and the resulting PD code is verified by running goeritz() on it
-and comparing matrices.
+embedded, and goeritz() of the resulting PD code must give the graph's G'
+entry for entry, sign included, through the region map ``region_corners``.
 
 Corners between consecutive edges around a vertex are the diagram's arcs;
 each graph edge becomes one crossing whose two strands run between the two
@@ -22,7 +22,6 @@ of the same strand is ``end ^ 2``, the other end of the same corner is
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .errors import DiagramError
 from .knotio import PDCode
@@ -183,25 +182,3 @@ def fan_graph(apex_counts, path_counts, eta=1):
         rot += list(reversed(apex_ids[i - 1]))
         rotations[i] = rot
     return PlanarGraph(vertex_count=k + 1, edges=edges, rotations=rotations)
-
-
-def conjugate_by_permutation_sign(a, b, fix_first=False):
-    """Search for a simultaneous row/column permutation and global sign
-    taking matrix a to matrix b; returns (perm, sign) or None.
-
-    With ``fix_first`` the permutation must fix index 0 (used when both
-    matrices are rooted at the same distinguished region R0).
-    """
-    m = len(a)
-    if len(b) != m:
-        return None
-    if fix_first and m > 0:
-        candidates = ([0] + list(rest) for rest in permutations(range(1, m)))
-    else:
-        candidates = permutations(range(m))
-    for perm in candidates:
-        for sign in (1, -1):
-            if all(sign * a[perm[i]][perm[j]] == b[i][j]
-                   for i in range(m) for j in range(m)):
-                return list(perm), sign
-    return None

@@ -265,7 +265,7 @@ def goeritz(pd: PDCode, outer=None) -> GoeritzData:
 
 def signature_via_goeritz(gd: GoeritzData) -> int:
     """Knot signature from Goeritz data: sig(G) - mu [GL1978, Thm 6]."""
-    sig = (exactalg.signature(gd.g) if gd.g else 0) - gd.mu
+    sig = exactalg.signature(gd.g) - gd.mu
     # a knot signature is even; an odd value means the eta/type conventions
     # drifted, so fail loudly rather than propagate a wrong sign downstream
     if sig % 2 != 0:
