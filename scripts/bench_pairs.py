@@ -22,9 +22,10 @@ the same bundled report and summary CSV under each sign convention
 (``auto``, ``fixed+``, ``fixed-``) and with ``--enable-klein``.  With ``--claim`` it checks a claimed gain: the change
 better in at least nine tenths of the pairs (ties count for neither side),
 and the medians further apart than the parent's quartile distance.
-``--traced-seeds`` adds traced pairs of ``TRACED_SECONDS`` on the claimed
-workload, or on every workload when nothing is claimed, with every
-``per_layer`` metric of the parent's ``BENCHMARK.json``.
+``--traced-seeds`` adds traced pairs of ``TRACED_SECONDS`` on every
+workload, with every ``per_layer`` metric of the parent's
+``BENCHMARK.json``, so a claim's side effects on the other workloads'
+layers are recorded too.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seeds 101-110 \\
         --claim bundled:throughput_ops_s --traced-seeds 121-123 \\
@@ -315,7 +316,7 @@ def main():
 
     if args.traced_seeds:
         record["traced"] = {}
-        for workload in ([claim[0]] if claim else workloads):
+        for workload in workloads:
             for i, seed in enumerate(args.traced_seeds):
                 got = {side: run_side(trees[side], workload, seed,
                                       TRACED_SECONDS, 1) for side in order(i)}

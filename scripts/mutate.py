@@ -81,6 +81,18 @@ MUTATIONS = (
     Mutation("src/gamma4/medial.py", "if eta == 1:", "if eta == -1:",
              "medial_pd: eta = +1 puts the BEFORE-BEFORE strand underneath; "
              "swapping the strands mirrors the diagram, which negates G'"),
+    Mutation(EXACTALG,
+             "a = [row + b for row, b in zip(integer_copy(m), "
+             "integer_copy(rhs))]",
+             "a = [row + unit_row(n, i) for i, row in "
+             "enumerate(integer_copy(m))]",
+             "inverse: the right-hand side, not the identity, goes beside A"),
+    Mutation("src/gamma4/linkform.py",
+             "units = [[int(i == k) for k in keep] for i in range(len(g))]",
+             "units = [[int(i == k) for k in range(len(keep))] "
+             "for i in range(len(g))]",
+             "linking_form: the unit columns stand at the positions of the "
+             "generators of order > 1, which the SNF puts last, not first"),
     Mutation("src/gamma4/linkform.py", "disc = (a * c - b * b) % p",
              "disc = (a * c + b * b) % p",
              "klein_discriminant: the discriminant of the form on Zp + Zp "

@@ -5,8 +5,9 @@ every kernel takes and returns integers only: no floating point and no
 rational, as the downstream obstructions are number-theoretic and one
 rounding error would silently flip a verdict.  Each kernel works on an
 integer copy of its input, which rejects a ``Fraction`` or float entry
-with TypeError.  An inverse is the integer pair (N, d) with A*N = d*I;
-only ``linkform`` turns such pairs into Q/Z values.
+with TypeError.  A solve A^-1*B is the integer pair (N, d) with
+A*N = d*B, and an inverse the one with B = I; only ``linkform`` turns
+such pairs into Q/Z values.
 
 Elimination is fraction-free (Bareiss): each step divides exactly by the
 previous pivot, so intermediate entries are minors of the input.  One
@@ -16,9 +17,10 @@ divisor it was last exact at, and is caught up inside its next update,
 ``(pivot*x - f*y) // level[i]``, exact as the result is a minor
 (Sylvester's identity).  ``_eliminate`` takes that step bottom-right
 first, clearing the rows above each pivot: ``det`` is its signed last
-pivot, and ``inverse`` runs it on ``[A | I]`` and solves the
-lower-triangular left block by exact back substitution.  ``signature``
-takes the same step on diagonal pivots.  ``smith_normal_form`` eliminates
+pivot, and ``inverse`` runs it on ``[A | B]`` (B = I by default) and
+solves the lower-triangular left block by exact back substitution for
+the columns of B only.  ``signature`` takes the same step on diagonal
+pivots.  ``smith_normal_form`` eliminates
 on one augmented matrix holding U beside D and V below it, so each row or
 column operation is written once and carries its transform along; its
 pivot search stops at the first unit.
@@ -144,34 +146,43 @@ def det(m):
     return _eliminate(integer_copy(m), n)
 
 
-def inverse(m):
-    """A^-1 = N/d of an integer matrix A as the integer pair (N, d) with
-    A*N = d*I and d = |det A| > 0, by Bareiss elimination and back solving.
+def inverse(m, rhs=None):
+    """A^-1 * B = N/d for an integer matrix A and right-hand side B, as
+    the integer pair (N, d) with A*N = d*B and d = |det A| > 0, by Bareiss
+    elimination and back solving.  ``rhs`` defaults to the identity, so
+    ``inverse(m)`` is A^-1 = N/d; otherwise it must have as many rows as
+    A, and N has as many columns as it.
 
-    ``_eliminate`` on ``[A | I]`` leaves a lower-triangular left block R
-    beside a right block B with R = B*A, and its last pivot is +-det A, so
-    N = d*A^-1 = +-adj A solves R*N = d*B: row i of N is
-    ``(d*B_i - sum_{j<i} R_ij*N_j) // R_ii``, exact as N is integral, and
-    unchanged by the scale a row was left at.  A lower-triangular input
-    (an SNF's U) updates no row, and a tridiagonal one (a Goeritz matrix)
-    about one per pivot.
+    ``_eliminate`` on ``[A | B]`` leaves a lower-triangular left block
+    R = E*A beside E*B, for the product E of its row operations, and its
+    last pivot is +-det A, so N = d*A^-1*B solves R*N = d*E*B: row i of N
+    is ``(d*(E*B)_i - sum_{j<i} R_ij*N_j) // R_ii``, exact as N is
+    integral, and unchanged by the scale a row was left at.  The work
+    beyond the elimination of A grows with the columns of B, not of A.
+    A lower-triangular input (an SNF's U) updates no row, and a
+    tridiagonal one (a Goeritz matrix) about one per pivot.
 
-    Raises ValueError on a singular matrix.
+    Raises ValueError on a singular matrix, and on a ragged ``rhs`` or one
+    with the wrong number of rows.
     """
     n = require_square(m)
-    a = [row + unit_row(n, i) for i, row in enumerate(integer_copy(m))]
+    if rhs is None:
+        rhs = [unit_row(n, i) for i in range(n)]
+    elif dimensions(rhs)[0] != n:
+        raise ValueError(f"right-hand side needs {n} rows, got {len(rhs)}")
+    a = [row + b for row, b in zip(integer_copy(m), integer_copy(rhs))]
     d = abs(_eliminate(a, n))
     if not d:
         raise ValueError("singular matrix has no inverse")
-    inv = []
+    solution = []
     for i, row in enumerate(a):
         x = row[n:] if d == 1 else [d * y for y in row[n:]]
         for j, r in enumerate(row[:i]):
             if r:
-                x = [s - r * y for s, y in zip(x, inv[j])]
+                x = [s - r * y for s, y in zip(x, solution[j])]
         p = row[i]
-        inv.append(x if p == 1 else [s // p for s in x])
-    return inv, d
+        solution.append(x if p == 1 else [s // p for s in x])
+    return solution, d
 
 
 @dataclass

@@ -9,9 +9,10 @@ therefore quantify over both signs unless a caller fixes one explicitly.
 Generators are transported through the Smith normal form: with U*G*V = D,
 the columns of U^{-1} descend to generators of coker(G) of orders given by
 the diagonal, and the form on them is the congruent transport of G^{-1}.
-Only the columns of order > 1 are carried through the products.  The
-matrix algebra stays in Z (``exactalg`` takes and returns integers only,
-G^{-1} as the pair (N, d) with G*N = d*I), and so does the form: it is
+Only the columns of order > 1 are solved for, first through U and then
+through G, so no full inverse is built.  The matrix algebra stays in Z
+(``exactalg`` takes and returns integers only, G^{-1}*W as the pair
+(Y, d) with G*Y = d*W), and so does the form: it is
 stored as the integer matrix b_ij = lambda(g_i, g_j) * d_j mod d_j, and a
 ``Fraction`` is built only where a value is rendered.  A form is validated
 when it is built; fixing its sign negates b and re-validates nothing.
@@ -184,10 +185,12 @@ def linking_form(gd) -> LinkingForm:
 
     With U*G*V = D, coker(G) is generated by the images of the columns of
     U^{-1}, the i-th of order D[i][i].  Only the r generators of order > 1
-    are kept: with W the n x r matrix of those columns and G^{-1} = N/d,
-    the form is P/d mod 1 for the integer product P = W^T*N*W (n x r, then
-    r x r), and b_ij = P_ij * d_j / d, exact because lambda(g_i, g_j) is
-    killed by the order d_j of g_j.  A unimodular or empty G keeps none.
+    are kept, and only they are solved for: W = U^{-1}*E, the n x r
+    matrix of those columns for the unit columns E at their positions
+    (U is unimodular, so d = 1), then Y = d*G^{-1}*W with d = |det G|.
+    The form is P/d mod 1 for the integer r x r product P = W^T*Y, and
+    b_ij = P_ij * d_j / d, exact because lambda(g_i, g_j) is killed by the
+    order d_j of g_j.  A unimodular or empty G keeps none.
     """
     g = gd.g
     if exactalg.det(g) == 0:
@@ -196,11 +199,10 @@ def linking_form(gd) -> LinkingForm:
     keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
     if not keep:
         return LinkingForm(group=FiniteAbelianGroup(()), b=())
-    u_inverse, _ = exactalg.inverse(snf.U)  # U is unimodular: d = 1
-    w = [[row[i] for i in keep] for row in u_inverse]
-    scaled_inverse, d = exactalg.inverse(g)  # G^{-1} = scaled_inverse / d
-    products = exactalg.mat_mul(exactalg.mat_transpose(w),
-                                exactalg.mat_mul(scaled_inverse, w))
+    units = [[int(i == k) for k in keep] for i in range(len(g))]
+    w, _ = exactalg.inverse(snf.U, units)  # U is unimodular: d = 1
+    y, d = exactalg.inverse(g, w)  # G*y = d*w
+    products = exactalg.mat_mul(exactalg.mat_transpose(w), y)
     orders = tuple(snf.diagonal[i] for i in keep)
     b = [[x * dj // d for x, dj in zip(row, orders)] for row in products]
     return LinkingForm(group=FiniteAbelianGroup(orders), b=b)

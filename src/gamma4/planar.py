@@ -147,7 +147,9 @@ class _NugatoryCrossing(DiagramError):
 def _face_colors(pd: PDCode, fs: FaceSet, outer):
     """Two-color the faces, ``outer`` white.  The edge a walk arrives
     along at corner ``4*i + s`` separates its face from the face of corner
-    ``4*i + (s-1) % 4``, so a face's walk lists its neighbors."""
+    ``4*i + (s-1) % 4``, so a face's walk lists its neighbors.  Every
+    corner of every face is checked against that neighbor, so the four
+    quadrants of each crossing alternate in color."""
     slot_face = fs.slot_face
     colors = [None] * len(fs.walks)
     colors[outer] = WHITE
@@ -194,10 +196,7 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
     types = []
     corner_faces = iter(fs.slot_face)
     for c, (f0, f1, f2, f3) in enumerate(zip(*[corner_faces] * 4)):
-        c0, c1 = colors[f0], colors[f1]
-        if colors[f2] != c0 or colors[f3] != c1 or c0 == c1:
-            raise DiagramError("quadrant colors do not alternate", crossing=c)
-        white_is_13 = c1 == WHITE
+        white_is_13 = colors[f1] == WHITE
         w1, w2 = (f1, f3) if white_is_13 else (f0, f2)
         if w1 == w2:
             raise _NugatoryCrossing(

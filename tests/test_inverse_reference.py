@@ -8,8 +8,12 @@ reads the same elimination's last pivot, must also match the dense
 (bundled, both benchmark corpora, the fan constructions) and the U of
 their Smith normal forms, on zero-heavy integer matrices up to 8x8, and
 on sparse, banded, block-diagonal and lower-triangular matrices up to
-12x12."""
+12x12.  With a right-hand side B, ``inverse(m, B)`` must give the
+reference's (N*B, d), or raise as it does: for B the identity, for unit
+columns and for random integer blocks of 0..3 columns, on the structured
+and lower-triangular matrices and on both corpora's G and SNF U."""
 
+import random
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -21,8 +25,9 @@ from hypothesis import strategies as st
 
 import elimination_reference
 import inverse_reference as ref
-from conftest import fan_goeritz_matrices, square_matrices, structured_matrices
-from gamma4.exactalg import det, inverse, smith_normal_form
+from conftest import (fan_goeritz_matrices, identity, square_matrices,
+                      structured_matrices)
+from gamma4.exactalg import det, inverse, mat_mul, smith_normal_form
 from gamma4.planar import goeritz
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -39,6 +44,31 @@ def outcome(f, m):
 
 def assert_same_inverse(m):
     assert outcome(inverse, m) == outcome(ref.inverse, m), m
+
+
+def assert_same_solve(m, rhs):
+    def reference(m):
+        scaled_inverse, d = ref.inverse(m)
+        return mat_mul(scaled_inverse, rhs), d
+
+    assert outcome(lambda m: inverse(m, rhs), m) == outcome(reference, m), \
+        (m, rhs)
+
+
+def right_hand_sides(n, rng):
+    """The identity; one unit column, and 1..3 of them at drawn positions
+    in drawn order; and integer blocks of 0..3 columns."""
+    yield identity(n)
+    for k in range(1, min(n, 3) + 1):
+        cols = rng.sample(range(n), k)
+        yield [[int(i == j) for j in cols] for i in range(n)]
+    for k in range(4):
+        yield [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+
+
+def assert_same_solves(m, rng):
+    for rhs in right_hand_sides(len(m), rng):
+        assert_same_solve(m, rhs)
 
 
 def assert_same_det(m):
@@ -147,11 +177,39 @@ def test_bundled_goeritz_matrices_and_their_snf_u(dataset):
 @pytest.mark.parametrize("make", [corpus.large_diagrams, corpus.large_orders],
                          ids=["large-diagrams", "large-orders"])
 def test_benchmark_corpora_and_their_snf_u(make):
+    """G and its SNF's U alone and against every kind of right-hand side,
+    and U against the unit columns of the Smith generators of order > 1,
+    which ``linking_form`` solves for."""
+    rng = random.Random(7)
     for seed in (1, 2):
         for diagram in make(seed):
             g = goeritz(diagram.record.pd).g
-            assert_same_inverse(g)
-            assert_same_inverse(smith_normal_form(g).U)
+            snf = smith_normal_form(g)
+            for m in (g, snf.U):
+                assert_same_inverse(m)
+                assert_same_solves(m, rng)
+            keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
+            assert_same_solve(snf.U, [[int(i == j) for j in keep]
+                                      for i in range(len(g))])
+
+
+def test_solve_of_the_empty_matrix():
+    assert inverse([], []) == ([], 1)
+
+
+@pytest.mark.parametrize("m, rhs", [
+    pytest.param([[2, 1], [1, 1]], [[1]], id="too-few-rows"),
+    pytest.param([[2, 1], [1, 1]], [[1], [0], [0]], id="too-many-rows"),
+    pytest.param([[2, 1], [1, 1]], [], id="no-rows"),
+    pytest.param([], [[1]], id="rows-for-an-empty-matrix"),
+    pytest.param([[2, 1], [1, 1]], [[1, 0], [0]], id="ragged"),
+    pytest.param([[2, 1], [1, 1]], [[1], [0, 1]], id="ragged-short-first"),
+])
+def test_solve_rejects_a_misshapen_right_hand_side(m, rhs):
+    """A bare zip of A's rows with B's would drop B's extra rows, or A's,
+    or a row's tail, and solve something else."""
+    with pytest.raises(ValueError):
+        inverse(m, rhs)
 
 
 def test_fan_goeritz_matrices_and_their_snf_u():
@@ -186,7 +244,10 @@ def lower_triangular_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(structured_matrices() | lower_triangular_matrices())
-@example([[1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 3, 1], [1, 0, 1, 2]])
-def test_structured_matrices(m):
+@given(structured_matrices() | lower_triangular_matrices(),
+       st.randoms(use_true_random=False))
+@example([[1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 3, 1], [1, 0, 1, 2]],
+         random.Random(0))
+def test_structured_matrices(m, rng):
     assert_same_inverse(m)
+    assert_same_solves(m, rng)

@@ -18,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, factorint
 
-from conftest import cyclic_form, fan_goeritz_matrices, sympy_inverse
+import inverse_reference
+from conftest import (connect_sum, cyclic_form, fan_goeritz_matrices,
+                      mixed_fan_pd, sympy_inverse)
 from gamma4.errors import DiagramError, InconsistencyError
-from gamma4.exactalg import det, smith_normal_form
+from gamma4.exactalg import det, mat_mul, mat_transpose, smith_normal_form
 from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              NOT_OBSTRUCTED, OBSTRUCTED,
                              definiteness_consistency, factorize,
@@ -171,6 +173,38 @@ def test_linking_form_is_the_integer_smith_identity(dataset):
         assert all(type(x) is int and 0 <= x < d
                    for row in form.b
                    for x, d in zip(row, form.group.invariant_factors)), g
+
+
+def full_inverse_transport(g):
+    """The form matrix b from all of U^-1 and G^-1 = N/d, both by the
+    Gauss-Jordan reference: W the kept columns of U^-1, P = W^T*N*W and
+    b_ij = P_ij * d_j / d mod d_j."""
+    snf = smith_normal_form(g)
+    keep = [i for i, dj in enumerate(snf.diagonal) if dj > 1]
+    u_inverse, _ = inverse_reference.inverse(snf.U)
+    w = [[row[i] for i in keep] for row in u_inverse]
+    scaled_inverse, d = inverse_reference.inverse(g)
+    products = mat_mul(mat_transpose(w), mat_mul(scaled_inverse, w))
+    orders = [snf.diagonal[i] for i in keep]
+    return tuple(tuple(x * dj // d % dj for x, dj in zip(row, orders))
+                 for row in products)
+
+
+def test_linking_form_matches_the_full_inverse_transport_at_scale():
+    """Solving for the kept columns only gives the form the full inverses
+    gave, on mixed-fan diagrams of Goeritz dimension 24..48, beyond the
+    corpora's 16; the connected sum has H1 = Z5 + Z374125."""
+    pds = [mixed_fan_pd(dim, seed)
+           for dim, seed in ((24, 0), (32, 1), (40, 2), (48, 2))]
+    pds.append(connect_sum(mixed_fan_pd(24, 1), mixed_fan_pd(24, 2)))
+    ranks = []
+    for pd in pds:
+        g = goeritz(pd).g
+        assert 24 <= len(g) <= 48
+        form = linking_form(gd_of(g))
+        assert form.b == full_inverse_transport(g), len(g)
+        ranks.append(len(form.b))
+    assert ranks == [1, 1, 1, 1, 2]
 
 
 def test_linking_form_of_a_unimodular_goeritz_matrix_is_trivial():
