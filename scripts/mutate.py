@@ -72,6 +72,12 @@ MUTATIONS = (
              "goeritz: diag(1, ..., 1, det G) keeps det and the signature's "
              "parity but makes H1 cyclic; the Fox H1 of a corpus diagram "
              "with H1 = Z7 + Z49 differs"),
+    Mutation("src/gamma4/planar.py",
+             "swapped = [BLACK if col == WHITE else WHITE for col in colors]",
+             "swapped = colors",
+             "checkerboard: rooting the default coloring at a face of the "
+             "other color swaps the two colors; unswapped, that face stays "
+             "black"),
     Mutation("src/gamma4/medial.py",
              "region_corners.setdefault(u, base + (1 - a) % 4)",
              "region_corners.setdefault(u, base + (3 - a) % 4)",

@@ -142,6 +142,8 @@ class LinkingForm:
     def fix_sign(self, sign):
         """The form with its global sign resolved to +1 or -1, built without
         ``__post_init__``: negation keeps it symmetric and nondegenerate."""
+        if sign not in (1, -1):
+            raise ValueError(f"global sign must be +1 or -1, not {sign!r}")
         orders = self.group.invariant_factors
         b = self.b if sign == 1 else tuple(
             tuple(-x % d for x, d in zip(row, orders)) for row in self.b)

@@ -126,22 +126,13 @@ class Coloring:
 
 
 def default_outer_face(fs: FaceSet) -> int:
-    """Deterministic outer-face choice: most incidences, lowest index wins."""
+    """The default coloring's first root: most incidences, lowest index."""
     return _largest_face(fs, range(len(fs.walks)))
 
 
 def _largest_face(fs, candidates):
     # max keeps the first of equal keys, and candidates ascend
     return max(candidates, key=lambda k: len(fs.walks[k]))
-
-
-class _NugatoryCrossing(DiagramError):
-    """Both white quadrants of a crossing lie on one face; ``colors`` is
-    the face coloring under which they do."""
-
-    def __init__(self, message, crossing, colors):
-        super().__init__(message, crossing=crossing)
-        self.colors = colors
 
 
 def _face_colors(pd: PDCode, fs: FaceSet, outer):
@@ -179,29 +170,38 @@ def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
     Rejects nugatory crossings (both white quadrants on the same face).
     ``outer`` picks the unbounded face; diagrams live on the sphere, so
     the choice is genuine input data recovered from the source picture.
+    Without it the coloring is rooted at ``default_outer_face`` or, if that
+    makes a crossing nugatory, at the largest face of the other color.
     """
     nfaces = len(fs.walks)
-    if outer is None:
-        outer = default_outer_face(fs)
+    default = outer is None
+    outer = default_outer_face(fs) if default else outer
     if not 0 <= outer < nfaces:
         raise DiagramError(f"outer face {outer} out of range 0..{nfaces - 1}")
-    colors = _face_colors(pd, fs, outer)
+    return _classify(pd, fs, outer, _face_colors(pd, fs, outer), default)
 
-    white_faces = [outer] + [k for k in range(nfaces) if colors[k] == WHITE and k != outer]
+
+def _classify(pd, fs, outer, colors, may_swap):
+    """The crossings under ``colors``; ``may_swap`` allows one color swap."""
+    white_faces = [outer] + [k for k, col in enumerate(colors)
+                             if col == WHITE and k != outer]
     white_index = {k: i for i, k in enumerate(white_faces)}
 
     over_dir = pd.directions
     crossing_white = []
     etas = []
     types = []
-    corner_faces = iter(fs.slot_face)
-    for c, (f0, f1, f2, f3) in enumerate(zip(*[corner_faces] * 4)):
+    for c, (f0, f1, f2, f3) in enumerate(zip(*[iter(fs.slot_face)] * 4)):
         white_is_13 = colors[f1] == WHITE
         w1, w2 = (f1, f3) if white_is_13 else (f0, f2)
+        if w1 == w2 and may_swap:
+            # the one other proper coloring, the swap, moves every white pair
+            black = [k for k, col in enumerate(colors) if col == BLACK]
+            swapped = [BLACK if col == WHITE else WHITE for col in colors]
+            return _classify(pd, fs, _largest_face(fs, black), swapped, False)
         if w1 == w2:
-            raise _NugatoryCrossing(
-                "nugatory crossing: white quadrants share a face", crossing=c,
-                colors=colors)
+            raise DiagramError(
+                "nugatory crossing: white quadrants share a face", crossing=c)
         crossing_white.append((white_index[w1], white_index[w2]))
         etas.append(ETA_SIGN if white_is_13 else -ETA_SIGN)
         # both strands run white-to-white; they do so in the same rotational
@@ -226,28 +226,17 @@ class GoeritzData:
 
 
 def goeritz(pd: PDCode, outer=None) -> GoeritzData:
-    """Goeritz matrix of the white coloring rooted at the outer face.
+    """Goeritz matrix of ``checkerboard``'s white regions, rooted at
+    ``outer`` or at checkerboard's default coloring.
 
     g'(i,j) = -sum of eta over crossings joining white regions Ri and Rj,
     diagonal rows summing to zero; G deletes row and column 0; mu sums
     eta over the type II crossings.  The crossingless unknot diagram gets
     the empty 0x0 matrix, determinant 1, mu 0.
-
-    Without an explicit ``outer``, a default coloring that makes a crossing
-    nugatory is swapped once for the one rooted at the largest face of the
-    other color, where that crossing's white quadrants lie on two faces.
     """
     if len(pd) == 0:
         return GoeritzData(gfull=[[0]], g=[], mu=0)
-    fs = faces(pd)
-    try:
-        col = checkerboard(pd, fs, outer=outer)
-    except _NugatoryCrossing as err:
-        if outer is not None:
-            raise
-        other = _largest_face(fs, [k for k, c in enumerate(err.colors)
-                                   if c == BLACK])
-        col = checkerboard(pd, fs, outer=other)
+    col = checkerboard(pd, faces(pd), outer=outer)
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]
     # nugatory crossings were rejected, so each crossing joins two distinct

@@ -13,8 +13,12 @@ from itertools import product
 
 from gamma4 import planar
 from gamma4.errors import DiagramError, PDSemanticError
-from gamma4.planar import (BLACK, WHITE, Coloring, GoeritzData,
-                           _NugatoryCrossing)
+from gamma4.planar import BLACK, WHITE, Coloring, GoeritzData
+
+
+class _NugatoryCrossing(DiagramError):
+    """Both white quadrants of a crossing lie on one face; ``goeritz``
+    catches it to retry at a face of the other color."""
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,7 @@ def checkerboard(pd, fs, outer=None):
         pair = (qf[1], qf[3]) if white_is_13 else (qf[0], qf[2])
         if pair[0] == pair[1]:
             raise _NugatoryCrossing(
-                "nugatory crossing: white quadrants share a face", crossing=c,
-                colors=colors)
+                "nugatory crossing: white quadrants share a face", crossing=c)
         crossing_white.append((white_index[pair[0]], white_index[pair[1]]))
         etas.append(planar.ETA_SIGN * (1 if white_is_13 else -1))
         parallel = white_is_13 == (over_dir[c] == -1)
@@ -196,18 +199,24 @@ def checkerboard(pd, fs, outer=None):
                     eta=tuple(etas), types=tuple(types))
 
 
+def default_coloring(pd, fs):
+    """The coloring ``goeritz`` uses without an outer face: the default
+    one, or, if that makes a crossing nugatory, the one rooted at the
+    largest face of the other color."""
+    try:
+        return checkerboard(pd, fs)
+    except _NugatoryCrossing:
+        colors = face_colors(fs, default_outer_face(fs))
+        other = _largest_face(fs, [k for k, c in enumerate(colors) if c == BLACK])
+        return checkerboard(pd, fs, outer=other)
+
+
 def goeritz(pd, outer=None):
     if len(pd) == 0:
         return GoeritzData(gfull=[[0]], g=[], mu=0)
     fs = faces(pd)
-    try:
-        col = checkerboard(pd, fs, outer=outer)
-    except _NugatoryCrossing:
-        if outer is not None:
-            raise
-        colors = face_colors(fs, default_outer_face(fs))
-        other = _largest_face(fs, [k for k, c in enumerate(colors) if c == BLACK])
-        col = checkerboard(pd, fs, outer=other)
+    col = (default_coloring(pd, fs) if outer is None
+           else checkerboard(pd, fs, outer=outer))
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]
     for c, (i, j) in enumerate(col.crossing_white):

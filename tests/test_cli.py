@@ -71,6 +71,12 @@ def test_goeritz_semantic_error_exits_2(capsys):
     assert "label" in err
 
 
+def test_goeritz_without_a_diagram_exits_2(capsys):
+    code, out, err = run(capsys, "goeritz")
+    assert code == 2 and out == ""
+    assert "no diagram given: use --pd or --pd-file" in err
+
+
 def test_goeritz_from_file(capsys, tmp_path):
     path = tmp_path / "diagram.pd"
     path.write_text(TREFOIL_PD + "\n")
@@ -114,6 +120,28 @@ def test_obstruct_unknown_knot_exits_3(capsys):
     code, _out, err = run(capsys, "obstruct", "--knot", "99n1")
     assert code == 3
     assert "lookup error" in err
+
+
+def test_obstruct_a_knot_without_a_diagram_exits_3(capsys):
+    code, out, err = run(capsys, "obstruct", "--knot", "11n1")
+    assert code == 3 and out == ""
+    assert "knot '11n1' has no diagram in the dataset" in err
+
+
+def test_obstruct_without_ingested_signature_says_so(capsys):
+    code, out, _err = run(capsys, "obstruct", "--knot", "11n1",
+                          "--pd-override", TREFOIL_PD)
+    assert code == 0
+    assert out.startswith("11n1: H1 = Z3, ")
+    assert out.endswith("  sig-arf: signature or Arf not ingested\n")
+
+
+def test_linkform_prints_the_form_and_its_square_class(capsys):
+    code, out, _err = run(capsys, "linkform", "--knot", "11n155")
+    assert code == 0
+    assert out.partition("\n")[2] == (
+        "  lambda(g0, .) = 23/51\n"
+        "  square class of k, lambda(g0, g0) = k/n: (k/3) = -1, (k/17) = -1\n")
 
 
 def test_linkform_json(capsys):

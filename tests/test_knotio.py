@@ -296,10 +296,21 @@ def test_bad_rows_are_all_reported(tmp_path):
         "k1,11,,3,0,1,,,,,,,,false,,",   # odd signature
         "k2,11,,0,0,1,,,,,,,,false,,",   # fine
         "k3,11,,0,7,1,,,,,,,,false,,",   # bad arf
+        "k4,11,,,,,,,,,,,,false,,2",     # definiteness 2
+        "k5,11,,,,,,,,,2,1,,false,,",    # empty c4 range
+        "k6,11,,,,,,,,,,,,maybe,,",      # slice cell maybe
+        " ,11,,,,,,,,,,,,false,,",       # empty knot name
     ])
     with pytest.raises(DataError) as err:
         load_dataset(path)
-    assert err.value.rows == (2, 4)
+    assert err.value.rows == (2, 4, 5, 6, 7, 8)
+    assert str(err.value).endswith(
+        "row 5: definiteness 2 not +-1; row 6: empty c4 range [2,1]; "
+        "row 7: bad boolean slice: 'maybe'; row 8: empty knot name")
+    # a file without even a header has no row to name
+    path.write_text("")
+    with pytest.raises(DataError, match="empty file, header required"):
+        load_dataset(path)
 
 
 def test_repeated_name_is_one_more_rejected_row(tmp_path):
@@ -430,6 +441,25 @@ def test_certificate_out_of_range_twist(tmp_path):
 def test_certificate_bad_target_gamma(tmp_path):
     with pytest.raises(DataError):
         load_certificates(_write_certs(tmp_path, ["X,0,Y,3,"]))
+
+
+def test_certificate_bad_rows_are_all_reported(tmp_path):
+    path = _write_certs(tmp_path, [
+        "X,2,Y,1,",       # twist out of range
+        "X,0,Y,1,",       # fine
+        " ,0,Y,1,",       # empty source
+        "X,0,Y,3,",       # target_gamma4 neither 1 nor slice
+    ])
+    with pytest.raises(DataError) as err:
+        load_certificates(path)
+    assert err.value.rows == (2, 4, 5)
+    assert str(err.value).endswith(
+        "rejected rows: row 2: band twist h=2 not in {-1,0,1}; "
+        "row 4: empty source name; "
+        "row 5: target_gamma4 3 must be 1 or 'slice'")
+    path.write_text("")
+    with pytest.raises(DataError, match="empty file, header required"):
+        load_certificates(path)
 
 
 def test_certificate_dangling_target_allowed(tmp_path):

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from sympy import Matrix, factorint
 
 import inverse_reference
-from conftest import (connect_sum, cyclic_form, fan_goeritz_matrices,
-                      mixed_fan_pd, sympy_inverse)
+from conftest import (TREFOIL_PD, connect_sum, cyclic_form,
+                      fan_goeritz_matrices, mixed_fan_pd, sympy_inverse)
+from gamma4 import pipeline
 from gamma4.errors import DiagramError, InconsistencyError
 from gamma4.exactalg import det, mat_mul, mat_transpose, smith_normal_form
+from gamma4.knotio import KnotRecord, parse_pd
 from gamma4.linkform import (FiniteAbelianGroup, INAPPLICABLE, LinkingForm,
                              NOT_OBSTRUCTED, OBSTRUCTED,
                              definiteness_consistency, factorize,
@@ -303,6 +305,20 @@ def test_fix_sign_constructs_and_validates_the_signed_form_once(monkeypatch):
         fixed = form.fix_sign(sign)
         assert validations == []
         assert fixed == expected
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_fix_sign_rejects_a_sign_other_than_plus_or_minus_one(sign):
+    """Any sign but +1 once negated the form: the trefoil with definiteness
+    +1 read as Obstructed, its sign marked fixed, under sign 0 or 2."""
+    with pytest.raises(ValueError):
+        cyclic_form(3, 1).fix_sign(sign)
+    rec = KnotRecord(name="trefoil", crossings=3, pd=parse_pd(TREFOIL_PD),
+                     definiteness=1)
+    assert definiteness_consistency(
+        pipeline.analyze_diagram(rec, 1).form, 1).result == NOT_OBSTRUCTED
+    with pytest.raises(ValueError):
+        pipeline.analyze_diagram(rec, sign)
 
 
 # --- generator orbit ---------------------------------------------------------

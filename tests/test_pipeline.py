@@ -279,6 +279,26 @@ def test_klein_verdict_reachable_on_noncyclic_homology():
     assert mobius[0].result == "Inapplicable"
 
 
+def test_report_entry_of_a_noncyclic_h1(tmp_path):
+    """Z3 + Z3 has no linking fraction, so its report entry carries the
+    form's matrix instead."""
+    from conftest import connect_sum, torus2
+    granny = render_pd(connect_sum(torus2(3), torus2(3)))
+    knots = write_rows(tmp_path / "knots.csv", HEADER, [
+        "a,11,,,,,,,,,,,,false,,",
+        f'granny,6,"{granny}",,,,,,,,,,,false,,',
+    ])
+    certs = write_rows(tmp_path / "certs.csv", CERT_HEADER, [])
+    entries, metadata = pipeline.run_classification(knots, certs)
+    analysis = entries[1].analysis
+    assert analysis.group.invariant_factors == (3, 3)
+    assert analysis.fraction is None
+    knot = json.loads(pipeline.report_json(entries, metadata))["knots"][1]
+    assert knot["name"] == "granny" and knot["homology"] == [3, 3]
+    assert knot["linking_fraction"] is None
+    assert knot["linking_matrix"] == pipeline.form_json(analysis.form)
+
+
 def test_factorize_runs_at_most_once_per_analysis(dataset, monkeypatch):
     from gamma4 import linkform
     calls = []

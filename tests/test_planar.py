@@ -86,8 +86,17 @@ def test_nugatory_crossing_rejected_with_index():
     kink = parse_pd("PD[X[1,1,2,2]]")
     fs = faces(kink)
     with pytest.raises(DiagramError) as err:
-        checkerboard(kink, fs)
+        checkerboard(kink, fs, outer=default_outer_face(fs))
     assert "crossing 0" in str(err.value)
+
+
+def test_nugatory_under_both_colorings_is_rejected_with_index():
+    # kinks of both kinds: each coloring makes one of them nugatory
+    pd = connect_sum(parse_pd("PD[X[1,1,2,2]]"), parse_pd("PD[X[1,2,2,1]]"))
+    for attempt in (lambda: checkerboard(pd, faces(pd)), lambda: goeritz(pd)):
+        with pytest.raises(DiagramError) as err:
+            attempt()
+        assert type(err.value) is DiagramError and err.value.crossing == 1
 
 
 @pytest.mark.parametrize("kink", ["PD[X[1,2,2,1]]", "PD[X[1,1,2,2]]"])
@@ -106,9 +115,11 @@ def test_kink_summand_leaves_the_trefoil_unchanged():
 
 
 def test_nugatory_retry_reuses_the_default_coloring(monkeypatch):
-    """The retry takes the default coloring from the exception instead of
-    recomputing it: two colorings in all, the default and the retry's."""
+    """The retry swaps the colors of the default coloring instead of
+    coloring again: one coloring per call, rooted at the default face,
+    and checkerboard and goeritz agree on the result."""
     pd = connect_sum(torus2(3), parse_pd("PD[X[1,1,2,2]]"))
+    fs = faces(pd)
     expected = planar_reference.goeritz(pd)
     outers = []
     face_colors = planar._face_colors
@@ -119,7 +130,12 @@ def test_nugatory_retry_reuses_the_default_coloring(monkeypatch):
 
     monkeypatch.setattr(planar, "_face_colors", counted)
     assert goeritz(pd) == expected
-    assert len(outers) == 2 and outers[0] == default_outer_face(faces(pd))
+    assert outers == [default_outer_face(fs)]
+    col = checkerboard(pd, fs)
+    assert outers == [default_outer_face(fs)] * 2
+    assert col.colors[default_outer_face(fs)] != WHITE
+    assert col == planar_reference.default_coloring(
+        pd, planar_reference.faces(pd))
 
 
 def test_explicit_outer_face_keeps_rejecting_nugatory_crossings():
