@@ -73,11 +73,12 @@ MUTATIONS = (
              "parity but makes H1 cyclic; the Fox H1 of a corpus diagram "
              "with H1 = Z7 + Z49 differs"),
     Mutation("src/gamma4/planar.py",
-             "swapped = [BLACK if col == WHITE else WHITE for col in colors]",
-             "swapped = colors",
-             "checkerboard: rooting the default coloring at a face of the "
-             "other color swaps the two colors; unswapped, that face stays "
-             "black"),
+             "types.append(2 if parallel == TYPE_II_IS_PARALLEL else 1)",
+             "types.append(2 if parallel == TYPE_II_IS_PARALLEL or w1 == w2 "
+             "else 1)",
+             "checkerboard: a nugatory crossing is type I, so it adds nothing "
+             "to mu; counted as type II it shifts the signature of a kinked "
+             "diagram by its eta"),
     Mutation("src/gamma4/medial.py",
              "region_corners.setdefault(u, base + (1 - a) % 4)",
              "region_corners.setdefault(u, base + (3 - a) % 4)",

@@ -231,8 +231,7 @@ def build_parser():
     sp.add_argument("--pd", help="inline PD code: PD[X[a,b,c,d], ...]")
     sp.add_argument("--pd-file", help="file containing a PD code")
     sp.add_argument("--outer", type=int, default=None,
-                    help="index of the unbounded face (default: the largest, "
-                         "else the largest of the other color)")
+                    help="index of the unbounded face (default: the largest)")
     sp.add_argument("--csv", action="store_true", help="also dump G' as CSV")
     sp.set_defaults(func=cmd_goeritz)
 

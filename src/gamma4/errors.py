@@ -13,10 +13,12 @@ class PDSyntaxError(Gamma4Error):
     """Malformed PD notation (tokenizer/grammar level)."""
 
 
-class _CrossingError(Gamma4Error):
-    """An error that carries the index of the offending crossing, as
-    ``.crossing`` and as a ``crossing N: `` message prefix, when one can be
-    blamed."""
+class PDSemanticError(Gamma4Error):
+    """Well-formed PD text that violates a diagram invariant.
+
+    Carries the index of the offending crossing, as ``.crossing`` and as a
+    ``crossing N: `` message prefix, when one can be blamed.
+    """
 
     def __init__(self, message, crossing=None):
         if crossing is not None:
@@ -25,13 +27,10 @@ class _CrossingError(Gamma4Error):
         self.crossing = crossing
 
 
-class PDSemanticError(_CrossingError):
-    """Well-formed PD text that violates a diagram invariant."""
-
-
-class DiagramError(_CrossingError):
+class DiagramError(Gamma4Error):
     """A structurally valid PD code that cannot be processed further
-    (non-planar traversal, nugatory crossing, singular Goeritz matrix)."""
+    (non-planar traversal, a face that meets itself across an edge,
+    singular Goeritz matrix)."""
 
 
 class KnotNotFound(Gamma4Error):

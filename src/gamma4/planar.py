@@ -116,7 +116,8 @@ class Coloring:
     outer_face: int
     colors: tuple            # per face index
     white_faces: tuple       # face indices in R-index order, R0 first
-    crossing_white: tuple    # per crossing: (i, j) white-region indices
+    crossing_white: tuple    # per crossing: (i, j) white-region indices,
+                             # i == j at a nugatory crossing
     eta: tuple               # per crossing: +-1
     types: tuple             # per crossing: 1 or 2
 
@@ -126,13 +127,9 @@ class Coloring:
 
 
 def default_outer_face(fs: FaceSet) -> int:
-    """The default coloring's first root: most incidences, lowest index."""
-    return _largest_face(fs, range(len(fs.walks)))
-
-
-def _largest_face(fs, candidates):
-    # max keeps the first of equal keys, and candidates ascend
-    return max(candidates, key=lambda k: len(fs.walks[k]))
+    """The default coloring's root: most incidences, lowest index."""
+    # max keeps the first of equal keys, and the faces ascend
+    return max(range(len(fs.walks)), key=lambda k: len(fs.walks[k]))
 
 
 def _face_colors(pd: PDCode, fs: FaceSet, outer):
@@ -165,24 +162,28 @@ def _face_colors(pd: PDCode, fs: FaceSet, outer):
 
 
 def checkerboard(pd: PDCode, fs: FaceSet, outer=None) -> Coloring:
-    """Two-color the faces and classify every crossing.
+    """Two-color the faces, rooted white at ``outer`` or at
+    ``default_outer_face``, and classify every crossing.
 
-    Rejects nugatory crossings (both white quadrants on the same face).
     ``outer`` picks the unbounded face; diagrams live on the sphere, so
     the choice is genuine input data recovered from the source picture.
-    Without it the coloring is rooted at ``default_outer_face`` or, if that
-    makes a crossing nugatory, at the largest face of the other color.
+    Either coloring serves [GL1978, Thm 6], so every root is accepted.
+
+    A nugatory crossing, whose two white quadrants lie on one face R, is
+    classified like any other and changes neither G' nor mu.  It joins R
+    to itself, so its terms in G' cancel.  It is always type I: a closed
+    curve inside R through the two white corners separates the
+    crossing's four ends into two pairs, and the knot, leaving the
+    crossing into one half, must come back through that half's other
+    end.  So with white {0,2} the over-strand runs b->d, and with white
+    {1,3} it runs d->b; either way the strands are parallel, which is
+    type I under the shipped calibration.
     """
     nfaces = len(fs.walks)
-    default = outer is None
-    outer = default_outer_face(fs) if default else outer
+    outer = default_outer_face(fs) if outer is None else outer
     if not 0 <= outer < nfaces:
         raise DiagramError(f"outer face {outer} out of range 0..{nfaces - 1}")
-    return _classify(pd, fs, outer, _face_colors(pd, fs, outer), default)
-
-
-def _classify(pd, fs, outer, colors, may_swap):
-    """The crossings under ``colors``; ``may_swap`` allows one color swap."""
+    colors = _face_colors(pd, fs, outer)
     white_faces = [outer] + [k for k, col in enumerate(colors)
                              if col == WHITE and k != outer]
     white_index = {k: i for i, k in enumerate(white_faces)}
@@ -194,14 +195,6 @@ def _classify(pd, fs, outer, colors, may_swap):
     for c, (f0, f1, f2, f3) in enumerate(zip(*[iter(fs.slot_face)] * 4)):
         white_is_13 = colors[f1] == WHITE
         w1, w2 = (f1, f3) if white_is_13 else (f0, f2)
-        if w1 == w2 and may_swap:
-            # the one other proper coloring, the swap, moves every white pair
-            black = [k for k, col in enumerate(colors) if col == BLACK]
-            swapped = [BLACK if col == WHITE else WHITE for col in colors]
-            return _classify(pd, fs, _largest_face(fs, black), swapped, False)
-        if w1 == w2:
-            raise DiagramError(
-                "nugatory crossing: white quadrants share a face", crossing=c)
         crossing_white.append((white_index[w1], white_index[w2]))
         etas.append(ETA_SIGN if white_is_13 else -ETA_SIGN)
         # both strands run white-to-white; they do so in the same rotational
@@ -239,8 +232,9 @@ def goeritz(pd: PDCode, outer=None) -> GoeritzData:
     col = checkerboard(pd, faces(pd), outer=outer)
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]
-    # nugatory crossings were rejected, so each crossing joins two distinct
-    # regions and the zero row sums put its eta on both diagonal entries
+    # the zero row sums put each crossing's eta on both diagonal entries;
+    # a nugatory crossing joins a region to itself (i == j), so its four
+    # updates cancel and it adds nothing
     for (i, j), eta in zip(col.crossing_white, col.eta):
         gfull[i][j] -= eta
         gfull[j][i] -= eta

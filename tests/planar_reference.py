@@ -16,11 +16,6 @@ from gamma4.errors import DiagramError, PDSemanticError
 from gamma4.planar import BLACK, WHITE, Coloring, GoeritzData
 
 
-class _NugatoryCrossing(DiagramError):
-    """Both white quadrants of a crossing lie on one face; ``goeritz``
-    catches it to retry at a face of the other color."""
-
-
 @dataclass(frozen=True)
 class FaceSet:
     n: int
@@ -84,11 +79,7 @@ def faces(pd):
 
 
 def default_outer_face(fs):
-    return _largest_face(fs, range(len(fs.faces)))
-
-
-def _largest_face(fs, candidates):
-    return max(candidates, key=lambda k: (len(fs.faces[k]), -k))
+    return max(range(len(fs.faces)), key=lambda k: (len(fs.faces[k]), -k))
 
 
 def face_colors(fs, outer):
@@ -182,12 +173,9 @@ def checkerboard(pd, fs, outer=None):
         qf = [quad_face[(c, s)] for s in range(4)]
         if colors[qf[0]] != colors[qf[2]] or colors[qf[1]] != colors[qf[3]] \
                 or colors[qf[0]] == colors[qf[1]]:
-            raise DiagramError("quadrant colors do not alternate", crossing=c)
+            raise DiagramError(f"crossing {c}: quadrant colors do not alternate")
         white_is_13 = colors[qf[1]] == WHITE
         pair = (qf[1], qf[3]) if white_is_13 else (qf[0], qf[2])
-        if pair[0] == pair[1]:
-            raise _NugatoryCrossing(
-                "nugatory crossing: white quadrants share a face", crossing=c)
         crossing_white.append((white_index[pair[0]], white_index[pair[1]]))
         etas.append(planar.ETA_SIGN * (1 if white_is_13 else -1))
         parallel = white_is_13 == (over_dir[c] == -1)
@@ -199,24 +187,11 @@ def checkerboard(pd, fs, outer=None):
                     eta=tuple(etas), types=tuple(types))
 
 
-def default_coloring(pd, fs):
-    """The coloring ``goeritz`` uses without an outer face: the default
-    one, or, if that makes a crossing nugatory, the one rooted at the
-    largest face of the other color."""
-    try:
-        return checkerboard(pd, fs)
-    except _NugatoryCrossing:
-        colors = face_colors(fs, default_outer_face(fs))
-        other = _largest_face(fs, [k for k, c in enumerate(colors) if c == BLACK])
-        return checkerboard(pd, fs, outer=other)
-
-
 def goeritz(pd, outer=None):
     if len(pd) == 0:
         return GoeritzData(gfull=[[0]], g=[], mu=0)
     fs = faces(pd)
-    col = (default_coloring(pd, fs) if outer is None
-           else checkerboard(pd, fs, outer=outer))
+    col = checkerboard(pd, fs, outer=outer)
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]
     for c, (i, j) in enumerate(col.crossing_white):

@@ -58,6 +58,17 @@ def test_goeritz_outer_face_out_of_range_exits_2(capsys, outer):
     assert f"outer face {outer} out of range 0..4" in err
 
 
+@pytest.mark.parametrize("outer", [None, "0", "1", "2", "3"])
+def test_goeritz_accepts_kinks_of_both_kinds(capsys, outer):
+    # each coloring of this unknot makes one of its two kinks nugatory
+    extra = () if outer is None else ("--outer", outer)
+    code, out, _err = run(capsys, "goeritz", "--pd",
+                          "PD[X[1,1,2,4], X[3,2,4,3]]", *extra)
+    assert code == 0
+    assert "det G = 1\n" in out or "det G = -1\n" in out
+    assert "signature = sig(G) - mu = 0\n" in out
+
+
 def test_goeritz_malformed_exits_2(capsys):
     code, _out, err = run(capsys, "goeritz", "--pd", "PD[X[1,2]]")
     assert code == 2

@@ -395,8 +395,9 @@ def test_empty_report_renders_an_empty_knots_list(tmp_path):
 
 def test_over_directions_runs_once_per_diagram(dataset):
     """Parsing resolves the directions; every checkerboard coloring,
-    the nugatory retry included, reads the same ones.  A profile hook
-    counts the calls however a module imported the function."""
+    one with a nugatory crossing included, reads the same ones.  A
+    profile hook counts the calls however a module imported the
+    function."""
     import sys
     from conftest import connect_sum, torus2
     from gamma4.knotio import KnotRecord, over_directions, parse_pd

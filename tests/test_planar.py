@@ -1,14 +1,17 @@
 """Faces, checkerboard colorings, Goeritz matrices, signatures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planar_reference
 from conftest import (TREFOIL_PD, anchor_knots, connect_sum, face_edges, mirror,
-                      torus2)
+                      mixed_fan_pd, torus2)
 from gamma4 import planar
 from gamma4.errors import DiagramError
 from gamma4.exactalg import det, is_symmetric
-from gamma4.knotio import parse_pd
+from gamma4.knotio import PDCode, parse_pd, render_pd
+from gamma4.linkform import linking_form, square_class
 from gamma4.planar import (WHITE, checkerboard, default_outer_face, faces,
                            goeritz, signature_via_goeritz)
 
@@ -82,30 +85,38 @@ def test_both_color_classes_give_proper_colorings():
     assert sizes == {2, 3}
 
 
-def test_nugatory_crossing_rejected_with_index():
+def test_nugatory_crossing_accepted_at_every_outer_face():
     kink = parse_pd("PD[X[1,1,2,2]]")
     fs = faces(kink)
-    with pytest.raises(DiagramError) as err:
-        checkerboard(kink, fs, outer=default_outer_face(fs))
-    assert "crossing 0" in str(err.value)
+    seen = set()
+    for outer in range(len(fs.walks)):
+        col = checkerboard(kink, fs, outer=outer)
+        (i, j), = col.crossing_white
+        seen.add((i == j, col.types[0]))
+    # the nugatory coloring joins a region to itself, as a type I crossing
+    assert seen == {(True, 1), (False, 2)}
 
 
-def test_nugatory_under_both_colorings_is_rejected_with_index():
-    # kinks of both kinds: each coloring makes one of them nugatory
+def test_kinks_of_both_kinds_are_accepted():
+    # each coloring makes one of the two kinks nugatory
     pd = connect_sum(parse_pd("PD[X[1,1,2,2]]"), parse_pd("PD[X[1,2,2,1]]"))
-    for attempt in (lambda: checkerboard(pd, faces(pd)), lambda: goeritz(pd)):
-        with pytest.raises(DiagramError) as err:
-            attempt()
-        assert type(err.value) is DiagramError and err.value.crossing == 1
+    fs = faces(pd)
+    for outer in [None, *range(len(fs.walks))]:
+        col = checkerboard(pd, fs, outer=outer)
+        assert any(i == j for i, j in col.crossing_white), outer
+        gd = goeritz(pd, outer=outer)
+        assert abs(det(gd.g)) == 1
+        assert signature_via_goeritz(gd) == 0
 
 
 @pytest.mark.parametrize("kink", ["PD[X[1,2,2,1]]", "PD[X[1,1,2,2]]"])
 def test_one_crossing_kinks_are_unknots(kink):
-    # the default outer face makes the crossing nugatory; the coloring
-    # rooted at a face of the other color does not
-    gd = goeritz(parse_pd(kink))
-    assert abs(det(gd.g)) == 1
-    assert signature_via_goeritz(gd) == 0
+    # one color class makes the crossing nugatory, the other does not
+    pd = parse_pd(kink)
+    for outer in [None, *range(3)]:
+        gd = goeritz(pd, outer=outer)
+        assert abs(det(gd.g)) == 1
+        assert signature_via_goeritz(gd) == 0
 
 
 def test_kink_summand_leaves_the_trefoil_unchanged():
@@ -114,13 +125,12 @@ def test_kink_summand_leaves_the_trefoil_unchanged():
     assert signature_via_goeritz(gd) == -2
 
 
-def test_nugatory_retry_reuses_the_default_coloring(monkeypatch):
-    """The retry swaps the colors of the default coloring instead of
-    coloring again: one coloring per call, rooted at the default face,
-    and checkerboard and goeritz agree on the result."""
+def test_one_coloring_per_call(monkeypatch):
+    """Without an outer face, checkerboard colors once, rooted white at
+    the default face, even where that makes a crossing nugatory, and
+    checkerboard and goeritz agree with the reference front end."""
     pd = connect_sum(torus2(3), parse_pd("PD[X[1,1,2,2]]"))
     fs = faces(pd)
-    expected = planar_reference.goeritz(pd)
     outers = []
     face_colors = planar._face_colors
 
@@ -129,19 +139,63 @@ def test_nugatory_retry_reuses_the_default_coloring(monkeypatch):
         return face_colors(pd, fs, outer)
 
     monkeypatch.setattr(planar, "_face_colors", counted)
-    assert goeritz(pd) == expected
+    assert goeritz(pd) == planar_reference.goeritz(pd)
     assert outers == [default_outer_face(fs)]
     col = checkerboard(pd, fs)
     assert outers == [default_outer_face(fs)] * 2
-    assert col.colors[default_outer_face(fs)] != WHITE
-    assert col == planar_reference.default_coloring(
-        pd, planar_reference.faces(pd))
+    assert col.colors[default_outer_face(fs)] == WHITE
+    assert any(i == j for i, j in col.crossing_white)
+    assert col == planar_reference.checkerboard(pd, planar_reference.faces(pd))
 
 
-def test_explicit_outer_face_keeps_rejecting_nugatory_crossings():
+def test_explicit_outer_face_accepts_nugatory_crossings():
+    # the default face of this kink is its only white region
     kink = parse_pd("PD[X[1,1,2,2]]")
-    with pytest.raises(DiagramError):
-        goeritz(kink, outer=default_outer_face(faces(kink)))
+    fs = faces(kink)
+    outer = default_outer_face(fs)
+    assert checkerboard(kink, fs, outer=outer).crossing_white == ((0, 0),)
+    assert goeritz(kink, outer=outer) == goeritz(kink) == planar.GoeritzData(
+        gfull=[[0]], g=[], mu=0)
+
+
+KINKS = (parse_pd("PD[X[1,1,2,2]]"), parse_pd("PD[X[1,2,2,1]]"))
+SMALL_FANS = [mixed_fan_pd(dim, seed) for dim, seed in ((2, 0), (4, 1), (6, 3))]
+
+
+def invariants(pd, outer=None):
+    """|det|, signature, invariant factors and, on a cyclic H1, the
+    square class of the linking form, from the coloring rooted at
+    ``outer``."""
+    gd = goeritz(pd, outer=outer)
+    form = linking_form(gd)
+    return (abs(det(gd.g)), signature_via_goeritz(gd),
+            form.group.invariant_factors,
+            square_class(form) if form.group.is_cyclic else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kinks_change_nothing(dataset, data):
+    """Reidemeister I: splicing 1..3 kinks of either kind into a bundled or
+    fan diagram, at an edge chosen by shifting its labels, keeps every
+    invariant at every root face, and each nugatory crossing is type I."""
+    unkinked = data.draw(st.sampled_from(
+        [rec.pd for rec in dataset if rec.pd is not None] + SMALL_FANS))
+    pd = unkinked
+    for _ in range(data.draw(st.integers(1, 3))):
+        edges = 2 * len(pd)
+        shift = data.draw(st.integers(0, edges - 1))
+        pd = PDCode(tuple(tuple((x - 1 + shift) % edges + 1 for x in quad)
+                          for quad in pd.crossings))
+        pd = connect_sum(pd, data.draw(st.sampled_from(KINKS)))
+    pd = parse_pd(render_pd(pd))
+    want = invariants(unkinked)
+    fs = faces(pd)
+    for outer in range(len(fs.walks)):
+        assert invariants(pd, outer) == want, outer
+        col = checkerboard(pd, fs, outer=outer)
+        assert all(kind == 1 for (i, j), kind
+                   in zip(col.crossing_white, col.types) if i == j)
 
 
 def test_default_outer_face_is_deterministic():

@@ -19,22 +19,16 @@ from gamma4.medial import PlanarGraph, fan_graph, medial_pd
 
 
 def outcome(fn, *args, **kwargs):
-    """The value of a call, or the class of the exception it raised; the
-    reference's nugatory-crossing subclass reads as the ``DiagramError``
-    that ``planar`` raises."""
+    """The value of a call, or the class of the exception it raised."""
     try:
         return "value", fn(*args, **kwargs)
-    except ref._NugatoryCrossing:
-        return "raised", DiagramError
     except Exception as exc:  # compared by class below
         return "raised", type(exc)
 
 
 def assert_front_ends_agree(pd):
     """faces, checkerboard at the default and at every outer face, goeritz
-    the same way, and over_directions: equal values or exception classes.
-    Without an outer face, checkerboard is held to the coloring the
-    reference's goeritz uses."""
+    the same way, and over_directions: equal values or exception classes."""
     assert outcome(over_directions, pd) == outcome(ref.over_directions, pd)
     got, want = outcome(planar.faces, pd), outcome(ref.faces, pd)
     if want[0] == "raised":
@@ -48,9 +42,7 @@ def assert_front_ends_agree(pd):
     assert tuple(tuple(divmod(q, 4) for q in walk)
                  for walk in fs.walks) == fs_ref.corners
     assert planar.default_outer_face(fs) == ref.default_outer_face(fs_ref)
-    assert (outcome(planar.checkerboard, pd, fs)
-            == outcome(ref.default_coloring, pd, fs_ref))
-    for outer in range(len(fs_ref.faces)):
+    for outer in [None, *range(len(fs_ref.faces))]:
         assert (outcome(planar.checkerboard, pd, fs, outer=outer)
                 == outcome(ref.checkerboard, pd, fs_ref, outer=outer)), outer
     for outer in [None, *range(len(fs_ref.faces))]:
@@ -150,13 +142,11 @@ def test_orientation_needs_every_tail_once():
 
 @pytest.mark.parametrize("kink", ["PD[X[1,2,2,1]]", "PD[X[1,1,2,2]]"])
 def test_one_crossing_kinks(kink):
+    # both front ends accept the nugatory crossing at every outer face
     pd = parse_pd(kink)
     assert_front_ends_agree(pd)
-    outer = planar.default_outer_face(planar.faces(pd))
-    assert (outcome(planar.goeritz, pd, outer=outer)
-            == outcome(ref.goeritz, pd, outer=outer)
-            == ("raised", DiagramError))
-    assert planar.goeritz(pd) == ref.goeritz(pd)
+    for outer in range(3):
+        assert outcome(planar.goeritz, pd, outer=outer)[0] == "value"
 
 
 @pytest.mark.parametrize("crossings", [((1, 1, 1, 2),), ((1, 1, 1, 1), (2, 2, 3, 4)),
