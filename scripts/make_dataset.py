@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gamma4.bounds import arf_from_det  # noqa: E402
 from gamma4.exactalg import det  # noqa: E402
 from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS,  # noqa: E402
-                           render_pd, validate_pd)
+                           render_pd)
 from gamma4.linkform import homology, linking_form, represents  # noqa: E402
 from gamma4.medial import PlanarGraph, fan_graph, medial_pd  # noqa: E402
 from gamma4.planar import (checkerboard, faces, goeritz,  # noqa: E402
@@ -312,7 +312,6 @@ def build_realization(name):
         apex, path, eta = FANS[name]
         graph = fan_graph(apex, path, eta)
     pd, regions = medial_pd(graph)
-    validate_pd(pd)
     fs = faces(pd)
     outer = fs.slot_face[regions[0]]
     gd = goeritz(pd, outer=outer)

@@ -104,6 +104,13 @@ MUTATIONS = (
              "disc = (a * c + b * b) % p",
              "klein_discriminant: the discriminant of the form on Zp + Zp "
              "is ac - b^2"),
+    Mutation("src/gamma4/knotio.py",
+             'problems.append(f"ladder violation: {lo_name} {lo} > {hi_name} '
+             '{hi}")',
+             "pass",
+             "KnotRecord: a record off the ladder g4 <= c4 <= us <= u is "
+             "rejected when it is built, which is why clasp_number needs no "
+             "check of its own"),
 )
 
 

@@ -91,7 +91,7 @@ class GammaBounds:
     def raise_lower(self, value, rule, detail):
         if value > self.lower:
             self.lower = value
-            self.reasons.append(Reason(rule, CITATIONS.get(rule, rule),
+            self.reasons.append(Reason(rule, CITATIONS[rule],
                                        f"lower >= {value}: {detail}"))
             if self.upper is not None and self.lower > self.upper:
                 raise InconsistencyError(
@@ -104,7 +104,7 @@ class GammaBounds:
                 f"{self.name}: rule {rule} produced upper bound {value} < 1")
         if self.upper is None or value < self.upper:
             self.upper = value
-            self.reasons.append(Reason(rule, CITATIONS.get(rule, rule),
+            self.reasons.append(Reason(rule, CITATIONS[rule],
                                        f"upper <= {value}: {detail}"))
             if self.lower > self.upper:
                 raise InconsistencyError(
@@ -114,7 +114,7 @@ class GammaBounds:
     def cut_gamma_bar(self, value, rule, detail):
         if self.gamma_bar_upper is None or value < self.gamma_bar_upper:
             self.gamma_bar_upper = value
-            self.reasons.append(Reason(rule, CITATIONS.get(rule, rule),
+            self.reasons.append(Reason(rule, CITATIONS[rule],
                                        f"Gamma4 <= {value}: {detail}"))
 
     @property
@@ -150,6 +150,8 @@ def clasp_number(rec):
 
     Intersects the ingested c4 range with [g4, min(us_hi, u_hi)] from the
     ladder g4 <= c4 <= us <= u; hi is None when nothing bounds it above.
+    The range is never empty: a :class:`KnotRecord` passes the c4 range
+    and ladder checks, which give max(g4, c4_lo) <= min(c4_hi, us_hi, u_hi).
     """
     if rec.g4 is None:
         raise ValueError(f"{rec.name}: clasp range needs g4")
@@ -158,10 +160,6 @@ def clasp_number(rec):
         lo = max(lo, rec.c4_lo)
     his = [x for x in (rec.c4_hi, rec.us_hi, rec.u_hi) if x is not None]
     hi = min(his) if his else None
-    if hi is not None and lo > hi:
-        raise InconsistencyError(
-            f"{rec.name}: clasp-number data is contradictory: "
-            f"lower {lo} exceeds upper {hi}")
     return lo, hi
 
 

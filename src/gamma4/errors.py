@@ -14,7 +14,7 @@ class PDSyntaxError(Gamma4Error):
 
 
 class PDSemanticError(Gamma4Error):
-    """Well-formed PD text that violates a diagram invariant.
+    """A PD code, parsed or built, that violates a diagram invariant.
 
     Carries the index of the offending crossing, as ``.crossing`` and as a
     ``crossing N: `` message prefix, when one can be blamed.
@@ -29,8 +29,7 @@ class PDSemanticError(Gamma4Error):
 
 class DiagramError(Gamma4Error):
     """A structurally valid PD code that cannot be processed further
-    (non-planar traversal, a face that meets itself across an edge,
-    singular Goeritz matrix)."""
+    (non-planar traversal, singular Goeritz matrix)."""
 
 
 class KnotNotFound(Gamma4Error):

@@ -35,9 +35,38 @@ from .errors import DataError, PDSemanticError, PDSyntaxError
 
 @dataclass(frozen=True)
 class PDCode:
-    """Combinatorial planar diagram: a tuple of crossing quadruples."""
+    """Combinatorial planar diagram: a tuple of crossing quadruples.
+    Construction checks every diagram invariant and raises
+    :class:`PDSemanticError`, with the crossing index where one can be
+    blamed."""
 
     crossings: tuple
+
+    def __post_init__(self):
+        edges = 2 * len(self.crossings)
+        counts = [0] * (edges + 1)
+        for i, quad in enumerate(self.crossings):
+            if len(quad) != 4:
+                raise PDSemanticError(f"{len(quad)} labels, expected 4",
+                                      crossing=i)
+            for label in quad:
+                if not 1 <= label <= edges:
+                    raise PDSemanticError(
+                        f"edge label {label} out of range 1..{edges}", crossing=i)
+                counts[label] += 1
+        for label in range(1, edges + 1):
+            if counts[label] != 2:
+                bad = next((i for i, q in enumerate(self.crossings)
+                            if label in q), None)
+                raise PDSemanticError(
+                    f"edge label {label} occurs {counts[label]} times, expected 2",
+                    crossing=bad)
+        for i, (a, _b, c, _d) in enumerate(self.crossings):
+            if c != _successor(a, edges):
+                raise PDSemanticError(
+                    f"under-strand exits at {c}, expected successor of {a}",
+                    crossing=i)
+        self.directions  # raises if over-strand orientation cannot be resolved
 
     def __len__(self):
         return len(self.crossings)
@@ -80,9 +109,7 @@ def parse_pd(text):
             pos += 1
             if pos == len(body):
                 raise PDSyntaxError(f"trailing ',' after the last crossing in {text!r}")
-    pd = PDCode(crossings=tuple(crossings))
-    validate_pd(pd)
-    return pd
+    return PDCode(crossings=tuple(crossings))
 
 
 def render_pd(pd):
@@ -93,33 +120,6 @@ def render_pd(pd):
 
 def _successor(label, edges):
     return label % edges + 1
-
-
-def validate_pd(pd):
-    """Check all PDCode invariants; raise PDSemanticError otherwise."""
-    n = len(pd)
-    if n == 0:
-        return
-    edges = 2 * n
-    counts = [0] * (edges + 1)
-    for i, quad in enumerate(pd.crossings):
-        for label in quad:
-            if not 1 <= label <= edges:
-                raise PDSemanticError(
-                    f"edge label {label} out of range 1..{edges}", crossing=i)
-            counts[label] += 1
-    for label in range(1, edges + 1):
-        if counts[label] != 2:
-            bad = next((i for i, q in enumerate(pd.crossings) if label in q),
-                       None)
-            raise PDSemanticError(
-                f"edge label {label} occurs {counts[label]} times, expected 2",
-                crossing=bad)
-    for i, (a, b, c, d) in enumerate(pd.crossings):
-        if c != _successor(a, edges):
-            raise PDSemanticError(
-                f"under-strand exits at {c}, expected successor of {a}", crossing=i)
-    pd.directions  # raises if over-strand orientation cannot be resolved
 
 
 def over_directions(pd):
@@ -170,6 +170,8 @@ class KnotRecord:
 
     ``None`` means the table did not provide the value; classification
     rules that would need it are then simply not applied to this knot.
+    Construction checks the invariants beyond the cells' syntax and
+    raises one ``ValueError`` listing every problem.
     """
 
     name: str
@@ -189,9 +191,7 @@ class KnotRecord:
     determinant: int | None = None
     definiteness: int | None = None
 
-    def check(self):
-        """Validate the record's invariants beyond its cells' syntax (which
-        rejects a signed crossing number); returns error strings."""
+    def __post_init__(self):
         problems = []
         if self.signature is not None and self.signature % 2 != 0:
             problems.append(f"odd signature {self.signature}")
@@ -220,7 +220,8 @@ class KnotRecord:
         for (lo_name, lo, _), (hi_name, _, hi) in combinations(ladder, 2):
             if lo is not None and hi is not None and lo > hi:
                 problems.append(f"ladder violation: {lo_name} {lo} > {hi_name} {hi}")
-        return problems
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def _parse_int(cell, what, allow_sign=True):
@@ -359,12 +360,8 @@ def load_dataset(path, data=None):
 
 
 def _record_from_row(parsers, *cells):
-    record = KnotRecord(*[parse(cell, column) for (column, parse), cell
-                          in zip(parsers, cells)])
-    problems = record.check()
-    if problems:
-        raise ValueError("; ".join(problems))
-    return record
+    return KnotRecord(*[parse(cell, column) for (column, parse), cell
+                        in zip(parsers, cells)])
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,24 @@ def connect_sum(pd1, pd2):
     return PDCode(tuple(out))
 
 
+def strand_structure(rng, n):
+    """n crossing quadruples over labels 1..2n: each under-strand runs
+    a -> a+1 and each over-strand joins o and o+1, either way round, with
+    every label starting one strand.  So each label is used twice and
+    enters and leaves one crossing: ``PDCode`` accepts every such code,
+    and about a third of them are planar."""
+    E = 2 * n
+    pool = list(range(1, E + 1))
+    rng.shuffle(pool)
+    crossings = []
+    while pool:
+        a = pool.pop()
+        o = pool.pop(rng.randrange(len(pool)))
+        b, d = (o, o % E + 1) if rng.random() < 0.5 else (o % E + 1, o)
+        crossings.append((a, b, a % E + 1, d))
+    return tuple(crossings)
+
+
 def mixed_fan_pd(dim, seed):
     """Non-alternating knot diagram of Goeritz dimension ``dim``: the medial
     of a fan with 1..2 crossings from the apex to each path region, single

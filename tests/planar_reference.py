@@ -5,7 +5,9 @@ dict, colored over a face-adjacency dict of edge lists, and the
 over-strand directions come from a product search over the candidate
 readings.  Kept as the reference the tests hold the new front end to:
 equal ``FaceSet`` contents, ``Coloring`` and ``GoeritzData``, and the same
-exception class on every error path.
+exception class on every error path.  It takes the raw tuple of crossing
+quadruples, not a ``PDCode``, so it also runs on codes that the
+``PDCode`` constructor rejects, and it keeps its own checks.
 """
 
 from dataclasses import dataclass
@@ -30,19 +32,19 @@ class FaceSet:
         return lookup
 
 
-def faces(pd):
-    n = len(pd)
+def faces(crossings):
+    n = len(crossings)
     if n == 0:
         raise DiagramError("crossingless diagram has no crossings to trace")
     ends = {}
-    for i, quad in enumerate(pd.crossings):
+    for i, quad in enumerate(crossings):
         for s, edge in enumerate(quad):
             ends.setdefault(edge, []).append((i, s))
 
     def next_state(state):
         i, s = state
         depart = (i, (s + 1) % 4)
-        edge = pd.crossings[i][(s + 1) % 4]
+        edge = crossings[i][(s + 1) % 4]
         first, second = ends[edge]
         return second if first == depart else first
 
@@ -61,7 +63,7 @@ def faces(pd):
                 state = next_state(state)
             if state != walk[0]:
                 raise DiagramError("face walk failed to close; inconsistent diagram")
-            all_faces.append(tuple([pd.crossings[ci][cs] for ci, cs in walk]))
+            all_faces.append(tuple([crossings[ci][cs] for ci, cs in walk]))
             all_corners.append(tuple(walk))
 
     fs = FaceSet(n=n, faces=tuple(all_faces), corners=tuple(all_corners))
@@ -114,15 +116,14 @@ def face_colors(fs, outer):
     return colors
 
 
-def over_directions(pd):
-    n = len(pd)
-    edges = 2 * n
+def over_directions(crossings):
+    edges = 2 * len(crossings)
 
     def successor(label):
         return label % edges + 1
 
     candidates = []
-    for i, (_a, b, _c, d) in enumerate(pd.crossings):
+    for i, (_a, b, _c, d) in enumerate(crossings):
         cand = []
         if d == successor(b):
             cand.append(+1)
@@ -137,7 +138,7 @@ def over_directions(pd):
     def consistent(choice):
         heads = {}
         tails = {}
-        for (a, b, c, d), dirn in zip(pd.crossings, choice):
+        for (a, b, c, d), dirn in zip(crossings, choice):
             over_in, over_out = (b, d) if dirn == +1 else (d, b)
             for lbl in (a, over_in):
                 heads[lbl] = heads.get(lbl, 0) + 1
@@ -153,7 +154,7 @@ def over_directions(pd):
         "no orientation assignment makes every edge enter and leave exactly one crossing")
 
 
-def checkerboard(pd, fs, outer=None):
+def checkerboard(crossings, fs, outer=None):
     nfaces = len(fs.faces)
     if outer is None:
         outer = default_outer_face(fs)
@@ -165,7 +166,7 @@ def checkerboard(pd, fs, outer=None):
     white_index = {k: i for i, k in enumerate(white_faces)}
 
     quad_face = fs.quadrant_face()
-    over_dir = over_directions(pd)
+    over_dir = over_directions(crossings)
     crossing_white = []
     etas = []
     types = []
@@ -187,11 +188,11 @@ def checkerboard(pd, fs, outer=None):
                     eta=tuple(etas), types=tuple(types))
 
 
-def goeritz(pd, outer=None):
-    if len(pd) == 0:
+def goeritz(crossings, outer=None):
+    if len(crossings) == 0:
         return GoeritzData(gfull=[[0]], g=[], mu=0)
-    fs = faces(pd)
-    col = checkerboard(pd, fs, outer=outer)
+    fs = faces(crossings)
+    col = checkerboard(crossings, fs, outer=outer)
     m = col.white_count
     gfull = [[0] * m for _ in range(m)]
     for c, (i, j) in enumerate(col.crossing_white):

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from gamma4 import bounds as bounds_module
-from gamma4.bounds import (GammaBounds, clasp_number, classify, classify_all,
-                           sig_arf_obstruction, upper_from_clasp)
+from gamma4 import linkform
+from gamma4.bounds import (CITATIONS, GammaBounds, clasp_number, classify,
+                           classify_all, sig_arf_obstruction, upper_from_clasp)
 from gamma4.errors import InconsistencyError
 from gamma4.knotio import (CERTIFICATE_COLUMNS, DATASET_COLUMNS, SLICE,
                            BandMoveCertificate, KnotRecord, load_certificates,
@@ -69,8 +70,9 @@ def test_clasp_uses_ingested_range():
 
 
 def test_clasp_empty_intersection():
-    with pytest.raises(InconsistencyError):
-        clasp_number(rec(g4=3, u_hi=2, c4_lo=3))
+    # an empty clasp range breaks the ladder, so no record can hold one
+    with pytest.raises(ValueError, match="ladder violation: g4 3 > u 2"):
+        rec(g4=3, u_hi=2, c4_lo=3)
 
 
 def test_clasp_requires_g4():
@@ -208,6 +210,16 @@ def test_reasons_accumulate_with_citations():
     assert all(r.citation for r in b.reasons)
     assert any("band move" in r.detail for r in b.reasons)
     assert any(r.rule == "sig-arf" for r in b.reasons)
+
+
+def test_every_rule_has_a_citation():
+    # a reason looks its rule up in CITATIONS, so a rule without an entry
+    # raises KeyError rather than citing its own name
+    rules = {value for module in (bounds_module, linkform)
+             for name, value in vars(module).items() if name.startswith("RULE_")}
+    assert rules == set(CITATIONS)
+    with pytest.raises(KeyError):
+        GammaBounds(name="k").raise_lower(2, "uncited-rule", "detail")
 
 
 def test_non_improving_rule_leaves_no_reason():

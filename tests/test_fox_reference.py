@@ -14,7 +14,7 @@ import fox_reference as fox
 from conftest import TREFOIL_PD, connect_sum, torus2
 from gamma4 import pipeline
 from gamma4.errors import DiagramError, PDSemanticError
-from gamma4.knotio import KnotRecord, PDCode, parse_pd, render_pd
+from gamma4.knotio import KnotRecord, PDCode, parse_pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402  (the benchmark's corpora, read only)
@@ -58,9 +58,10 @@ def test_fox_agrees_on_the_benchmark_corpora(make):
 
 @st.composite
 def mutated_pd_codes(draw, diagrams):
-    """One of ``diagrams`` with one mutation: a crossing dropped, two slots
-    swapped, a crossing rotated (a crossing change, where the code stays
-    valid) or reversed, or one slot relabelled."""
+    """The crossings of one of ``diagrams`` with one mutation, as raw
+    tuples: a crossing dropped, two slots swapped, a crossing rotated (a
+    crossing change, where the code stays valid) or reversed, or one slot
+    relabelled."""
     crossings = [list(quad) for quad in draw(st.sampled_from(diagrams)).crossings]
     n = len(crossings)
     i = draw(st.integers(0, n - 1))
@@ -78,19 +79,20 @@ def mutated_pd_codes(draw, diagrams):
         crossings[i].reverse()
     else:
         crossings[i][draw(slot)] = draw(st.integers(1, 2 * n))
-    return PDCode(tuple(map(tuple, crossings)))
+    return tuple(map(tuple, crossings))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fox_agrees_on_mutated_bundled_diagrams(dataset, data):
     """A mutation the pipeline accepts gives the Fox H1 and |det|; one it
-    rejects raises PDSemanticError or DiagramError (an InconsistencyError
-    would mean det and signature disagree, anything else a crash)."""
+    rejects raises PDSemanticError, when ``PDCode`` is built, or
+    DiagramError (an InconsistencyError would mean det and signature
+    disagree, anything else a crash)."""
     diagrams = [rec.pd for rec in dataset if rec.pd is not None]
     mutated = data.draw(mutated_pd_codes(diagrams))
     try:
-        pd = parse_pd(render_pd(mutated))
+        pd = PDCode(mutated)
         analysis = pipeline.analyze_diagram(
             KnotRecord(name="mutant", crossings=len(pd), pd=pd), 1)
     except (PDSemanticError, DiagramError):

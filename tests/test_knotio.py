@@ -76,6 +76,24 @@ def test_parse_rejects_double_headed_edges():
         parse_pd("PD[X[1,3,2,4], X[3,1,4,2]]")
 
 
+@pytest.mark.parametrize("crossings, crossing, reason", [
+    (((1, 2, 2),), 0, "3 labels, expected 4"),
+    (((1, 4, 2, 5), (3, 6, 4, 1, 2), (5, 2, 6, 3)), 1, "5 labels, expected 4"),
+    (((1, 7, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), 0, "label 7 out of range 1..6"),
+    (((1, 2, 2, 1), (3, 4, 4, 4)), 1, "label 3 occurs 1 times"),
+    (((1, 2, 2, 1), (3, 3, 3, 4)), 1, "label 3 occurs 3 times"),
+    (((1, 1, 1, 2),), 0, "label 1 occurs 3 times"),
+    (((1, 1, 1, 1), (2, 2, 3, 4)), 0, "label 1 occurs 4 times"),
+], ids=["3-labels", "5-labels", "out-of-range", "used-once", "used-thrice",
+        "one-crossing-thrice", "used-four-times"])
+def test_pd_code_rejects_with_the_crossing_index(crossings, crossing, reason):
+    # the constructor checks a code built directly, not only a parsed one
+    with pytest.raises(PDSemanticError, match=f"^crossing {crossing}: .*{reason}"
+                       ) as err:
+        PDCode(crossings)
+    assert err.value.crossing == crossing
+
+
 def test_parse_syntax_errors():
     for text in ("PD", "PD[X[1,2,3]]", "PD[X[1,2,3,4]", "X[1,2,3,4]",
                  "PD[X[1,2,3,4];X[3,4,1,2]]", "PD[X[a,2,3,4]]"):

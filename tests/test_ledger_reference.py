@@ -36,19 +36,21 @@ def outcome(classify, records, verdicts, certs):
 
 
 def random_record(rng, name):
-    """A record that passes ``KnotRecord.check``, as a loaded row does."""
+    """A record, drawn until ``KnotRecord`` accepts one, as a loaded row
+    must be."""
     while True:
         c4_lo, c4_hi = rng.choice([(None, None), (None, 2), (1, 1), (1, 3),
                                    (2, 2), (3, 3)])
-        record = KnotRecord(
-            name=name, crossings=rng.choice([7, 9, 11]),
-            signature=rng.choice([None, -4, -2, 0, 2]),
-            arf=rng.choice([None, None, 0, 1]), g4=rng.choice([None, 0, 1, 2]),
-            c4_lo=c4_lo, c4_hi=c4_hi,
-            crosscap_hi=rng.choice([None, None, 2, 3, 4]),
-            slice=rng.random() < 0.15)
-        if not record.check():
-            return record
+        try:
+            return KnotRecord(
+                name=name, crossings=rng.choice([7, 9, 11]),
+                signature=rng.choice([None, -4, -2, 0, 2]),
+                arf=rng.choice([None, None, 0, 1]), g4=rng.choice([None, 0, 1, 2]),
+                c4_lo=c4_lo, c4_hi=c4_hi,
+                crosscap_hi=rng.choice([None, None, 2, 3, 4]),
+                slice=rng.random() < 0.15)
+        except ValueError:
+            continue
 
 
 def random_ledger(rng, shape):

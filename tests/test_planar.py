@@ -1,14 +1,16 @@
 """Faces, checkerboard colorings, Goeritz matrices, signatures."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planar_reference
 from conftest import (TREFOIL_PD, anchor_knots, connect_sum, face_edges, mirror,
-                      mixed_fan_pd, torus2)
+                      mixed_fan_pd, strand_structure, torus2)
 from gamma4 import planar
-from gamma4.errors import DiagramError
+from gamma4.errors import DiagramError, Gamma4Error
 from gamma4.exactalg import det, is_symmetric
 from gamma4.knotio import PDCode, parse_pd, render_pd
 from gamma4.linkform import linking_form, square_class
@@ -134,18 +136,19 @@ def test_one_coloring_per_call(monkeypatch):
     outers = []
     face_colors = planar._face_colors
 
-    def counted(pd, fs, outer):
+    def counted(fs, outer):
         outers.append(outer)
-        return face_colors(pd, fs, outer)
+        return face_colors(fs, outer)
 
     monkeypatch.setattr(planar, "_face_colors", counted)
-    assert goeritz(pd) == planar_reference.goeritz(pd)
+    assert goeritz(pd) == planar_reference.goeritz(pd.crossings)
     assert outers == [default_outer_face(fs)]
     col = checkerboard(pd, fs)
     assert outers == [default_outer_face(fs)] * 2
     assert col.colors[default_outer_face(fs)] == WHITE
     assert any(i == j for i, j in col.crossing_white)
-    assert col == planar_reference.checkerboard(pd, planar_reference.faces(pd))
+    assert col == planar_reference.checkerboard(
+        pd.crossings, planar_reference.faces(pd.crossings))
 
 
 def test_explicit_outer_face_accepts_nugatory_crossings():
@@ -270,38 +273,41 @@ def test_random_pd_codes_never_crash():
     """Fuzz the full stack: random label structures either classify as
     valid diagrams or raise the package's own error types, never anything
     else."""
-    import random
-
-    from gamma4.errors import Gamma4Error
-    from gamma4.exactalg import det
-    from gamma4.knotio import PDCode, validate_pd
-
     rng = random.Random(271828)
     outcomes = {"ok": 0, "rejected": 0}
     for _ in range(400):
-        n = rng.randint(1, 6)
-        E = 2 * n
-        pool = list(range(1, E + 1))
-        rng.shuffle(pool)
-        crossings = []
-        while pool:
-            a = pool.pop()
-            o = pool.pop(rng.randrange(len(pool))) if len(pool) > 1 else pool.pop()
-            if rng.random() < 0.5:
-                b, d = o, o % E + 1
-            else:
-                d, b = o, o % E + 1
-            crossings.append((a, b, a % E + 1, d))
-        pd = PDCode(tuple(crossings))
         try:
-            validate_pd(pd)
-            gd = goeritz(pd)
+            gd = goeritz(PDCode(strand_structure(rng, rng.randint(1, 6))))
             assert abs(det(gd.g)) % 2 == 1  # knots have odd determinant
             signature_via_goeritz(gd)
             outcomes["ok"] += 1
         except Gamma4Error:
             outcomes["rejected"] += 1
     assert outcomes["ok"] > 0 and outcomes["rejected"] > 0
+
+
+def test_every_planar_code_colors_at_every_root():
+    """``_face_colors`` checks nothing, because a code ``PDCode`` accepts
+    that ``faces`` finds planar always 2-colors: across the edge at every
+    corner q, the faces of q and of its neighbor differ in color, whatever
+    face is the root."""
+    rng = random.Random(1978)
+    planar_codes = nonplanar_codes = 0
+    for _ in range(20000):
+        pd = PDCode(strand_structure(rng, rng.randint(1, 7)))
+        try:
+            fs = faces(pd)
+        except DiagramError as exc:
+            assert "not planar" in str(exc)
+            nonplanar_codes += 1
+            continue
+        planar_codes += 1
+        for outer in range(len(fs.walks)):
+            colors = checkerboard(pd, fs, outer=outer).colors
+            assert all(colors[fs.slot_face[q]]
+                       != colors[fs.slot_face[q - 1 if q & 3 else q + 3]]
+                       for q in range(4 * len(pd))), (pd, outer)
+    assert planar_codes >= 6000 and nonplanar_codes >= 6000
 
 
 def test_global_eta_flip_negates_gfull_and_preserves_verdicts(monkeypatch, dataset_by_name):

@@ -2,7 +2,9 @@
 over-strand directions) against the dict-based one it replaced, kept in
 ``planar_reference``: equal faces, corners, colorings and Goeritz data,
 with the reference's ``(crossing, slot)`` corners read as slots
-``4*i + s``, and the same exception class on every error path."""
+``4*i + s``, and the same exception class on every error path of a valid
+code.  The reference takes raw crossing tuples, so it also runs on codes
+the ``PDCode`` constructor rejects."""
 
 import random
 
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import planar_reference as ref
-from conftest import connect_sum, face_edges, mixed_fan_pd
+from conftest import connect_sum, face_edges, mixed_fan_pd, strand_structure
 from gamma4 import planar
 from gamma4.errors import DiagramError, PDSemanticError
 from gamma4.knotio import PDCode, over_directions, parse_pd
@@ -28,9 +30,11 @@ def outcome(fn, *args, **kwargs):
 
 def assert_front_ends_agree(pd):
     """faces, checkerboard at the default and at every outer face, goeritz
-    the same way, and over_directions: equal values or exception classes."""
-    assert outcome(over_directions, pd) == outcome(ref.over_directions, pd)
-    got, want = outcome(planar.faces, pd), outcome(ref.faces, pd)
+    the same way, and over_directions: equal values or exception classes,
+    the reference fed ``pd``'s raw crossings."""
+    crossings = pd.crossings
+    assert outcome(over_directions, pd) == outcome(ref.over_directions, crossings)
+    got, want = outcome(planar.faces, pd), outcome(ref.faces, crossings)
     if want[0] == "raised":
         assert got == want
         return
@@ -44,10 +48,10 @@ def assert_front_ends_agree(pd):
     assert planar.default_outer_face(fs) == ref.default_outer_face(fs_ref)
     for outer in [None, *range(len(fs_ref.faces))]:
         assert (outcome(planar.checkerboard, pd, fs, outer=outer)
-                == outcome(ref.checkerboard, pd, fs_ref, outer=outer)), outer
+                == outcome(ref.checkerboard, crossings, fs_ref, outer=outer)), outer
     for outer in [None, *range(len(fs_ref.faces))]:
         assert (outcome(planar.goeritz, pd, outer=outer)
-                == outcome(ref.goeritz, pd, outer=outer)), outer
+                == outcome(ref.goeritz, crossings, outer=outer)), outer
 
 
 def test_bundled_diagrams_at_every_outer_face(dataset):
@@ -92,51 +96,77 @@ def test_fan_medials_property(pd):
 
 
 def test_random_label_structures():
-    """Every label twice, slots shuffled at random: most codes are
-    non-planar or fail the coloring or the orientation checks, so this
-    walks every error path of both front ends."""
+    """Every label twice, slots shuffled at random or strands drawn by
+    ``strand_structure``: the constructor accepts exactly the codes whose
+    under-strands run a -> a+1 and which the reference's product search
+    can orient, and on those the two front ends agree, non-planar codes
+    included."""
     rng = random.Random(314159)
+    accepted = rejected = 0
     for _ in range(1500):
         n = rng.randint(1, 5)
-        labels = [label for label in range(1, 2 * n + 1) for _ in (0, 1)]
-        rng.shuffle(labels)
-        assert_front_ends_agree(
-            PDCode(tuple(tuple(labels[4 * i:4 * i + 4]) for i in range(n))))
+        if rng.random() < 0.5:
+            crossings = strand_structure(rng, n)
+        else:
+            labels = [label for label in range(1, 2 * n + 1) for _ in (0, 1)]
+            rng.shuffle(labels)
+            crossings = tuple(tuple(labels[4 * i:4 * i + 4]) for i in range(n))
+        valid = (all(c == a % (2 * n) + 1 for a, _b, c, _d in crossings)
+                 and outcome(ref.over_directions, crossings)[0] == "value")
+        got = outcome(PDCode, crossings)
+        if not valid:
+            assert got == ("raised", PDSemanticError), crossings
+            rejected += 1
+            continue
+        accepted += 1
+        assert got[0] == "value", crossings
+        assert_front_ends_agree(got[1])
+    assert accepted >= 800 and rejected >= 600
 
 
-@pytest.mark.parametrize("crossings, where, reason, new_reason", [
+def test_a_nonplanar_code_raises_the_same_class():
     # passes the label checks but closes up only on a genus-1 surface
-    (((3, 2, 4, 1), (2, 5, 3, 6), (6, 5, 1, 4)), "faces", "not planar", None),
-    (((1, 2, 1, 1, 2),), "faces", "failed to close", "four slots"),
-    (((4, 4, 1, 1), (3, 2, 3, 2)), "checkerboard", "same face twice", None),
-    # a planar and a genus-1 component: n + 2 faces in all
-    (((9, 10, 2, 3), (6, 8, 8, 6), (9, 7, 4, 1), (2, 3, 1, 5), (10, 5, 4, 7)),
-     "checkerboard", "disconnected", None),
-    (((8, 10, 7, 5), (9, 10, 2, 9), (5, 8, 6, 1), (3, 4, 4, 3), (2, 7, 6, 1)),
-     "checkerboard", "not bipartite", None),
-    # unique over-strand readings, every head/tail count wrong
-    (((1, 3, 2, 4), (3, 1, 4, 2)), "over_directions", "enter and leave", None),
-])
-def test_error_paths_raise_the_same_class(crossings, where, reason, new_reason):
-    pd = PDCode(crossings)
-    for front_end, why in ((ref, reason), (planar, new_reason or reason)):
-        stage = {"faces": front_end.faces,
-                 "checkerboard": lambda pd: front_end.checkerboard(
-                     pd, front_end.faces(pd)),
-                 "over_directions": (ref.over_directions if front_end is ref
-                                     else over_directions)}[where]
-        with pytest.raises(Exception) as err:
-            stage(pd)
-        assert why in str(err.value)
-    assert outcome(planar.goeritz, pd) == outcome(ref.goeritz, pd) \
-        == ("raised", type(err.value))
+    pd = PDCode(((3, 2, 4, 1), (2, 5, 3, 6), (6, 5, 1, 4)))
+    for faces, code in ((planar.faces, pd), (ref.faces, pd.crossings)):
+        with pytest.raises(DiagramError, match="not planar"):
+            faces(code)
+    assert outcome(planar.goeritz, pd) == outcome(ref.goeritz, pd.crossings) \
+        == ("raised", DiagramError)
     assert_front_ends_agree(pd)
 
 
+@pytest.mark.parametrize("crossings, where, reason, new_reason", [
+    (((1, 2, 1, 1, 2),), "faces", "failed to close", "5 labels"),
+    (((4, 4, 1, 1), (3, 2, 3, 2)), "checkerboard", "same face twice",
+     "under-strand exits at 3"),
+    # a planar and a genus-1 component: n + 2 faces in all
+    (((9, 10, 2, 3), (6, 8, 8, 6), (9, 7, 4, 1), (2, 3, 1, 5), (10, 5, 4, 7)),
+     "checkerboard", "disconnected", "under-strand exits at 2"),
+    (((8, 10, 7, 5), (9, 10, 2, 9), (5, 8, 6, 1), (3, 4, 4, 3), (2, 7, 6, 1)),
+     "checkerboard", "not bipartite", "under-strand exits at 7"),
+    # unique over-strand readings, every head/tail count wrong
+    (((1, 3, 2, 4), (3, 1, 4, 2)), "over_directions", "enter and leave",
+     "enter and leave"),
+], ids=["arity", "same-face", "disconnected", "not-bipartite", "orientation"])
+def test_reference_error_paths_are_rejected_at_construction(
+        crossings, where, reason, new_reason):
+    """Each code that takes the reference front end down one of its error
+    paths is rejected by the ``PDCode`` constructor, before ``planar``
+    sees it."""
+    stage = {"faces": ref.faces,
+             "checkerboard": lambda cs: ref.checkerboard(cs, ref.faces(cs)),
+             "over_directions": ref.over_directions}[where]
+    with pytest.raises(Exception, match=reason):
+        stage(crossings)
+    with pytest.raises(PDSemanticError, match=new_reason):
+        PDCode(crossings)
+
+
 def test_orientation_needs_every_tail_once():
-    # every head count is right; edge 1 leaves three crossings
-    pd = PDCode(((1, 1, 1, 4), (2, 3, 1, 4)))
-    assert outcome(over_directions, pd) == outcome(ref.over_directions, pd) \
+    # every head count is right; edge 1 leaves three crossings, which the
+    # constructor's label count already rejects
+    crossings = ((1, 1, 1, 4), (2, 3, 1, 4))
+    assert outcome(PDCode, crossings) == outcome(ref.over_directions, crossings) \
         == ("raised", PDSemanticError)
 
 
@@ -147,11 +177,3 @@ def test_one_crossing_kinks(kink):
     assert_front_ends_agree(pd)
     for outer in range(3):
         assert outcome(planar.goeritz, pd, outer=outer)[0] == "value"
-
-
-@pytest.mark.parametrize("crossings", [((1, 1, 1, 2),), ((1, 1, 1, 1), (2, 2, 3, 4)),
-                                       ((1, 2, 2),)])
-def test_malformed_label_structures_are_diagram_errors(crossings):
-    # the dict-based walk raised ValueError or IndexError on these
-    with pytest.raises(DiagramError):
-        planar.faces(PDCode(crossings))
