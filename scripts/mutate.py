@@ -48,6 +48,7 @@ class Mutation(NamedTuple):
 
 
 EXACTALG = "src/gamma4/exactalg.py"
+KNOTIO = "src/gamma4/knotio.py"
 MUTATIONS = (
     Mutation(EXACTALG,
              "a[i] = [(pivot * x - f * y) // level[i]",
@@ -104,13 +105,25 @@ MUTATIONS = (
              "disc = (a * c + b * b) % p",
              "klein_discriminant: the discriminant of the form on Zp + Zp "
              "is ac - b^2"),
-    Mutation("src/gamma4/knotio.py",
+    Mutation(KNOTIO,
              'problems.append(f"ladder violation: {lo_name} {lo} > {hi_name} '
              '{hi}")',
              "pass",
              "KnotRecord: a record off the ladder g4 <= c4 <= us <= u is "
              "rejected when it is built, which is why clasp_number needs no "
              "check of its own"),
+    Mutation(KNOTIO, "if len(entered) < edges:", "if False:",
+             "over_directions: a code whose strands enter some label twice "
+             "has no orientation and is rejected"),
+    Mutation(KNOTIO, " and (edges > 2 or b != a):", ":",
+             "over_directions: for n = 1 both readings pass the successor "
+             "test, and the over-strand enters at the label the under-strand "
+             "does not"),
+    Mutation(KNOTIO,
+             'row = [cell.strip() for cell in row] + [""] * (width - len(row))',
+             'row = row + [""] * (width - len(row))',
+             "_load_rows: the row reader is the one place a cell's padding "
+             "is stripped"),
 )
 
 

@@ -169,12 +169,13 @@ def cmd_classify(args):
     # a report on stdout is the only thing there, so it parses as JSON
     status = sys.stdout if args.out else sys.stderr
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"report written to {args.out}")
     else:
         print(text, end="")
     if args.summary_csv:
-        Path(args.summary_csv).write_text(pipeline.summary_csv(entries))
+        Path(args.summary_csv).write_text(pipeline.summary_csv(entries),
+                                          encoding="utf-8")
         print(f"summary CSV written to {args.summary_csv}", file=status)
     summary = pipeline.summarize(entries)
     print(f"knots: {summary['total']}  determined: {summary['determined']}  "

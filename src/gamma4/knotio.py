@@ -14,7 +14,7 @@ Ingested tables
 ``knots.csv`` carries one row per knot: name, crossing number, optional PD
 code, and the invariant columns (signature, Arf, smooth 4-genus, unknotting
 and slicing ranges, clasp range, crosscap bound, slice flag, determinant,
-required definiteness).  Cells may be empty; an absent invariant simply
+required definiteness).  Stripped cells may be empty; an absent invariant
 makes the rules that would consume it inapplicable.  ``certificates.csv``
 is the ledger of non-oriented band moves ``source --h--> target``.
 """
@@ -126,38 +126,28 @@ def over_directions(pd):
     """Per-crossing over-strand direction: +1 if the over-strand runs
     b -> d, -1 if it runs d -> b (labels increase along the orientation).
 
-    Each direction is read off the label-successor test.  Only for n = 1
-    do both readings pass it (mod 2); there, and for every n as a check,
-    every edge must leave exactly one crossing and enter exactly one.
+    Each direction is read off the label-successor test, and the code is
+    oriented iff the 2n labels its strands enter at are distinct.  Only for
+    n = 1 do both readings pass the test (mod 2); there the over-strand
+    enters at the label the under-strand does not.
     """
-    n = len(pd)
-    edges = 2 * n
-    directions = []
-    for i, (_a, b, _c, d) in enumerate(pd.crossings):
-        if d == _successor(b, edges):
+    edges = 2 * len(pd)
+    directions, entered = [], set()
+    for i, (a, b, _c, d) in enumerate(pd.crossings):
+        if d == _successor(b, edges) and (edges > 2 or b != a):
             directions.append(+1)
+            entered.update((a, b))
         elif b == _successor(d, edges):
             directions.append(-1)
+            entered.update((a, d))
         else:
             raise PDSemanticError(
                 f"over-strand pair ({b},{d}) not consecutive along orientation",
                 crossing=i)
-    if _enters_and_leaves_once(pd, directions):
-        return directions
-    if n == 1 and _enters_and_leaves_once(pd, [-directions[0]]):
-        return [-directions[0]]
-    raise PDSemanticError(
-        "no orientation assignment makes every edge enter and leave exactly one crossing")
-
-
-def _enters_and_leaves_once(pd, directions):
-    heads, tails = [], []
-    for (a, b, c, d), dirn in zip(pd.crossings, directions):
-        heads += (a, b) if dirn == +1 else (a, d)
-        tails += (c, d) if dirn == +1 else (c, b)
-    # 2n heads cover the 2n labels only if each label is hit exactly once
-    labels = set(range(1, 2 * len(pd) + 1))
-    return set(heads) == labels == set(tails)
+    if len(entered) < edges:
+        raise PDSemanticError(
+            "no orientation assignment makes every edge enter and leave exactly one crossing")
+    return directions
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,7 @@ def _parse_int(cell, what, allow_sign=True):
 
 
 def _parse_bool(cell, what):
-    lowered = cell.strip().lower()
+    lowered = cell.lower()
     if lowered in ("1", "true", "yes"):
         return True
     if lowered in ("0", "false", "no", ""):
@@ -243,13 +233,12 @@ def _parse_bool(cell, what):
 
 
 def _knot_name(cell, _what):
-    if not cell.strip():
+    if not cell:
         raise ValueError("empty knot name")
-    return cell.strip()
+    return cell
 
 
 def _optional_int(cell, what):
-    cell = cell.strip()
     return _parse_int(cell, what) if cell else None
 
 
@@ -257,7 +246,7 @@ def _optional_int(cell, what):
 # PD cells are parsed by the memo of each load_dataset call.
 _DATASET_PARSERS = dict(
     name=_knot_name,
-    crossings=lambda cell, what: _parse_int(cell.strip(), what, allow_sign=False),
+    crossings=lambda cell, what: _parse_int(cell, what, allow_sign=False),
     pd=None,
     **dict.fromkeys(["signature", "arf", "g4", "u_lo", "u_hi", "us_lo", "us_hi",
                      "c4_lo", "c4_hi", "crosscap_hi"], _optional_int),
@@ -278,15 +267,15 @@ def decode_utf8(data, path, error):
 
 def _load_rows(path, data, columns, from_cells, unique_names=False):
     """Parse each data row of a CSV with the mandatory ``columns``, in
-    table order, by ``from_cells(*cells)`` with the row's cells in
-    ``columns`` order.  The file is read as UTF-8 from ``data``, its bytes,
-    or from ``path`` when ``data`` is None; ``path`` names it in errors.
-    A header naming a column twice is rejected.  Blank
-    lines are skipped and not counted.  Missing trailing cells read as empty;
-    cells beyond the header reject the row, and with ``unique_names`` so
-    does an item named like an earlier one.  Rejected rows are collected
-    and reported together in a single :class:`DataError` with their row
-    numbers."""
+    table order, by ``from_cells(*cells)`` with the row's cells, stripped
+    (here and nowhere else), in ``columns`` order.  The file is read as
+    UTF-8 from ``data``, its bytes, or from ``path`` when ``data`` is None;
+    ``path`` names it in errors.  A header naming a column twice is
+    rejected.  Blank lines are skipped and not counted.  Missing trailing
+    cells read as empty; cells beyond the header reject the row, and with
+    ``unique_names`` so does an item named like an earlier one.  Rejected
+    rows are collected and reported together in a single
+    :class:`DataError` with their row numbers."""
     path = Path(path)
     if data is None:
         data = path.read_bytes()
@@ -316,7 +305,7 @@ def _load_rows(path, data, columns, from_cells, unique_names=False):
             failures.append((lineno, f"{len(row) - width} cell(s) beyond "
                              f"the {width}-column header"))
             continue
-        row += [""] * (width - len(row))
+        row = [cell.strip() for cell in row] + [""] * (width - len(row))
         try:
             item = from_cells(*cells_of(row))
         except (ValueError, PDSyntaxError, PDSemanticError) as exc:
@@ -342,15 +331,14 @@ def load_dataset(path, data=None):
     Each distinct PD text is parsed once per call, and the rows holding it
     share its :class:`PDCode`; a malformed cell is parsed, and rejected,
     on every row that holds it."""
-    pds = {}  # stripped PD text -> its PDCode, successes only
+    pds = {}  # PD text -> its PDCode, successes only
 
     def pd_cell(cell, _what):
-        text = cell.strip()
-        if not text:
+        if not cell:
             return None
-        pd = pds.get(text)
+        pd = pds.get(cell)
         if pd is None:
-            pd = pds[text] = parse_pd(text)
+            pd = pds[cell] = parse_pd(cell)
         return pd
 
     parsers = [(column, pd_cell if column == "pd" else parse)
@@ -397,18 +385,17 @@ def load_certificates(path, data=None):
 
 
 def _certificate_from_row(source, h, target, target_gamma4, figure_ref):
-    source = source.strip()
     if not source:
         raise ValueError("empty source name")
-    h = _parse_int(h.strip(), "h")
+    h = _parse_int(h, "h")
     if h not in (-1, 0, 1):
         raise ValueError(f"band twist h={h} not in {{-1,0,1}}")
-    tg_cell = target_gamma4.strip().lower()
+    tg_cell = target_gamma4.lower()
     if tg_cell == SLICE:
         tg = SLICE
     else:
         tg = _parse_int(tg_cell, "target_gamma4")
         if tg != 1:
             raise ValueError(f"target_gamma4 {tg} must be 1 or 'slice'")
-    return BandMoveCertificate(source=source, h=h, target=target.strip(),
-                               target_gamma4=tg, figure_ref=figure_ref.strip())
+    return BandMoveCertificate(source=source, h=h, target=target,
+                               target_gamma4=tg, figure_ref=figure_ref)

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from sympy import factorint, legendre_symbol
@@ -244,6 +248,30 @@ def test_classify_summary_csv(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "name,lower,upper,status,rules"
     assert len(lines) == 186
+
+
+def test_classify_writes_utf8_under_an_ascii_locale(tmp_path):
+    """Inputs are read as UTF-8, so the report and the summary CSV are
+    written as UTF-8 too, whatever the locale's encoding."""
+    knots = tmp_path / "knots.csv"
+    knots.write_text(",".join(DATASET_COLUMNS)
+                     + "\nk\u00e9,11,,-4,0,,,,,,,,,false,,\n", encoding="utf-8")
+    certs = tmp_path / "certificates.csv"
+    certs.write_text("source,h,target,target_gamma4,figure_ref\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamma4.cli", "classify", "--dataset", str(knots),
+         "--certificates", str(certs), "--out", str(tmp_path / "r.json"),
+         "--summary-csv", str(tmp_path / "s.csv")],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "r.json").read_bytes().decode("utf-8"))
+    assert [knot["name"] for knot in doc["knots"]] == ["k\u00e9"]
+    rows = (tmp_path / "s.csv").read_bytes().decode("utf-8").splitlines()
+    assert rows[1].startswith("k\u00e9,")
 
 
 def test_verify_theorem_reports_known_discrepancy(capsys):

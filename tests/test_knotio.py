@@ -1,5 +1,6 @@
 """PD parsing, rendering, and CSV ingestion."""
 
+import csv
 import hashlib
 import json
 import random
@@ -141,6 +142,25 @@ def test_bundled_dataset_loads(dataset):
     assert sum(1 for rec in dataset if rec.pd is not None) == 21
 
 
+def _padded(path, tmp_path):
+    """A copy of the table ``path`` with spaces and tabs around every data
+    cell, empty ones included."""
+    with path.open(newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    padded = tmp_path / path.name
+    with padded.open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([f" \t{cell}\t " for cell in row] for row in rows)
+    return padded
+
+
+def test_padded_dataset_cells_load_as_the_bare_ones(tmp_path, knots_csv, dataset):
+    padded = _padded(knots_csv, tmp_path)
+    assert "\t" in padded.read_text(encoding="utf-8")
+    assert load_dataset(padded) == dataset
+
+
 def _counting_parse_pd(monkeypatch):
     calls = []
 
@@ -272,15 +292,17 @@ def _outcome(parse, *args):
 @pytest.mark.parametrize("cell", [" 7 ", "+3", "-0", "\u0661\u0662", "\u00b2",
                                   "1_000", "3.0", "+", "0x1", "+11", "", "- 1"])
 def test_integer_cells_read_as_the_regex_did(cell):
-    """Every integer cell gives the value, or the message, that the
-    ``[+-]?\\d+`` pattern gave: signed (an invariant, a band twist) and
-    unsigned (the crossing number, which rejects "+11")."""
+    """Every integer cell, stripped as the row reader hands it over, gives
+    the value, or the message, that the ``[+-]?\\d+`` pattern gave: signed
+    (an invariant, a band twist) and unsigned (the crossing number, which
+    rejects "+11")."""
     signed = _outcome(_regex_parse_int, cell, "signature")
     unsigned = _outcome(_regex_parse_int, cell, "crossings", False)
-    if cell.strip():
-        assert _outcome(_DATASET_PARSERS["signature"], cell, "signature") == signed
-    assert _outcome(_DATASET_PARSERS["crossings"], cell, "crossings") == unsigned
-    assert _outcome(_parse_int, cell.strip(), "signature") == signed
+    stripped = cell.strip()
+    if stripped:
+        assert _outcome(_DATASET_PARSERS["signature"], stripped, "signature") == signed
+    assert _outcome(_DATASET_PARSERS["crossings"], stripped, "crossings") == unsigned
+    assert _outcome(_parse_int, stripped, "signature") == signed
 
 
 def test_decimal_digits_are_what_the_regex_called_digits():
@@ -405,6 +427,13 @@ def test_bundled_certificates_load(certificates_csv):
     assert by_source["11n38"][0].target == "3_1"
     assert by_source["11n1"][0].h == -1
     assert by_source["11n1"][0].target_gamma4 == SLICE
+
+
+def test_padded_certificate_cells_load_as_the_bare_ones(tmp_path,
+                                                        certificates_csv):
+    padded = _padded(certificates_csv, tmp_path)
+    assert "\t" in padded.read_text(encoding="utf-8")
+    assert load_certificates(padded) == load_certificates(certificates_csv)
 
 
 # sha256 of the JSON list of every bundled certificate's fields, in
